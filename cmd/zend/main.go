@@ -135,31 +135,11 @@ func main() {
 	os.Exit(code)
 }
 
-// metricsMustHave are the stable family names dashboards key on; the
-// -check-metrics gate fails if a refactor drops or renames one.
-var metricsMustHave = []string{
-	"zen_analyses_total",
-	"zen_solves_total",
-	"zen_presolve_runs_total",
-	"zen_auto_backend_picks_total",
-	"zen_serve_queries_total",
-	"zen_serve_cache_hits_total",
-	"zen_serve_cache_subsumed_total",
-	"zen_serve_cache_snapshot_hits_total",
-	"zen_serve_updates_total",
-	"zen_serve_delta_reused_total",
-	"zen_serve_delta_reverified_total",
-	"zen_serve_request_seconds",
-	"zen_serve_model_request_seconds",
-	"zen_portfolio_races_total",
-	"zen_bitslice_packets_total",
-	"zen_serve_stream_items_total",
-}
-
 // runMetricsCheck exercises the server once, renders the /metrics
 // exposition in-process, and lints it: the format itself (via
-// obs.LintMetrics) plus the presence of the stable family names. It is
-// what scripts/check.sh runs as the metrics gate.
+// obs.LintMetrics) plus the presence of every family the counter tables
+// mark stable (serve.StableMetrics). It is what scripts/check.sh runs as
+// the metrics gate.
 func runMetricsCheck(srv *serve.Server) int {
 	// One real query so the histograms have observations to expose.
 	res := srv.Do(context.Background(), &serve.Request{
@@ -179,12 +159,13 @@ func runMetricsCheck(srv *serve.Server) int {
 		fmt.Fprintf(os.Stderr, "zend: check-metrics: exposition lint: %v\n", err)
 		return 1
 	}
-	for _, name := range metricsMustHave {
+	stable := serve.StableMetrics()
+	for _, name := range stable {
 		if !strings.Contains(buf.String(), "# TYPE "+name+" ") {
 			fmt.Fprintf(os.Stderr, "zend: check-metrics: family %q missing\n", name)
 			return 1
 		}
 	}
-	fmt.Printf("zend: check-metrics ok (%d bytes, %d families checked)\n", buf.Len(), len(metricsMustHave))
+	fmt.Printf("zend: check-metrics ok (%d bytes, %d families checked)\n", buf.Len(), len(stable))
 	return 0
 }

@@ -1,23 +1,9 @@
 package absint
 
-import "zen-go/internal/core"
-
-// Cost-hazard thresholds, mirroring internal/lint/costpatterns.go (the
-// lint package imports absint, so the constants live here twice; a test
-// in internal/lint asserts they stay in sync).
-const (
-	mulFriendlyWidth = 8
-	wideShiftWidth   = 24
-	deepCaseDepth    = 8
+import (
+	"zen-go/internal/core"
+	"zen-go/internal/cost"
 )
-
-// Thresholds reports the mirrored cost-hazard constants. The canonical
-// copies live in internal/lint, which imports this package and so cannot
-// be imported back; its parity test calls this to assert the mirror
-// never drifts.
-func Thresholds() (mulFriendly, wideShift, deepCase int) {
-	return mulFriendlyWidth, wideShiftWidth, deepCaseDepth
-}
 
 // Predictor decision thresholds, calibrated against the recorded
 // portfolio win statistics in EXPERIMENTS.md: SAT won every large
@@ -50,7 +36,7 @@ type Features struct {
 	Muxes     int // OpIf count
 	Compares  int // OpEq/OpLt count
 	Arith     int // OpAdd/OpSub/OpMul count
-	WideMuls  int // multiplications wider than mulFriendlyWidth
+	WideMuls  int // multiplications wider than cost.MulFriendlyWidth
 	MidShifts int // mid-range shifts on wide vectors
 	CaseDepth int // deepest OpListCase nesting
 	// LooseBV is the fraction of non-constant bitvector nodes whose
@@ -96,11 +82,11 @@ func ExtractFeatures(a *Analysis, root *core.Node, listBound int) Features {
 			f.Arith++
 		case core.OpMul:
 			f.Arith++
-			if n.Type.Kind == core.KindBV && n.Type.Width > mulFriendlyWidth {
+			if n.Type.Kind == core.KindBV && n.Type.Width > cost.MulFriendlyWidth {
 				f.WideMuls++
 			}
 		case core.OpShl, core.OpShr:
-			if n.Type.Kind == core.KindBV && midRangeShift(n.Type.Width, n.Index) {
+			if n.Type.Kind == core.KindBV && cost.MidRangeShift(n.Type.Width, n.Index) {
 				f.MidShifts++
 			}
 		case core.OpListCase:
@@ -134,24 +120,6 @@ func ExtractFeatures(a *Analysis, root *core.Node, listBound int) Features {
 	return f
 }
 
-// MidRangeShift mirrors lint.MidRangeShift; exported for the same
-// parity test as Thresholds.
-func MidRangeShift(width, amount int) bool {
-	return midRangeShift(width, amount)
-}
-
-// midRangeShift mirrors lint.MidRangeShift.
-func midRangeShift(width, amount int) bool {
-	if width <= wideShiftWidth {
-		return false
-	}
-	switch amount {
-	case 0, 1, width - 1, width, width + 1:
-		return false
-	}
-	return true
-}
-
 // Choose ranks the backends for these features and explains the pick.
 func (f Features) Choose() (Choice, string) {
 	switch {
@@ -159,7 +127,7 @@ func (f Features) Choose() (Choice, string) {
 		return ChooseSAT, "wide multiplication is BDD-hostile"
 	case f.MidShifts > 0 && f.Arith > 0:
 		return ChooseSAT, "mid-range shifts feeding arithmetic explode BDD orderings"
-	case f.CaseDepth > deepCaseDepth:
+	case f.CaseDepth > cost.DeepCaseDepth:
 		return ChoosePortfolio, "deep list-case nesting is risky for every single engine"
 	case f.Nodes >= bigDAGNodes || f.LiveBits >= bigLiveBits:
 		return ChooseSAT, "large sliced DAG favors CDCL search over BDD construction"

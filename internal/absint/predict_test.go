@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"zen-go/internal/core"
+	"zen-go/internal/cost"
 )
 
 func TestPredictHazards(t *testing.T) {
@@ -45,9 +46,9 @@ func TestPredictHazards(t *testing.T) {
 				return b.Add(h, sum(tl, depth-1))
 			})
 		}
-		return b.Eq(sum(xs, deepCaseDepth+2), b.BVConst(u8, 41))
+		return b.Eq(sum(xs, cost.DeepCaseDepth+2), b.BVConst(u8, 41))
 	}()
-	if c, _ := Predict(deep, deepCaseDepth+2); c != ChoosePortfolio {
+	if c, _ := Predict(deep, cost.DeepCaseDepth+2); c != ChoosePortfolio {
 		t.Fatalf("deep cases: got %s, want portfolio", c)
 	}
 }

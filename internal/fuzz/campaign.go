@@ -119,7 +119,7 @@ func (c *Campaign) RunContext(ctx context.Context) ([]Finding, error) {
 		}
 	}
 	stop()
-	rec.AddFuzz(counters)
+	rec.Add(obs.Snapshot{Fuzz: counters})
 	rec.End()
 	return findings, runErr
 }

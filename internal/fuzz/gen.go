@@ -16,8 +16,8 @@ import (
 	"math/rand"
 
 	"zen-go/internal/core"
+	"zen-go/internal/cost"
 	"zen-go/internal/interp"
-	"zen-go/internal/lint"
 )
 
 // Config bounds the random generator.
@@ -241,12 +241,12 @@ func (g *Gen) genBV(t *core.Type, depth int) *core.Node {
 	case 1:
 		return g.B.Sub(g.gen(t, depth-1), g.gen(t, depth-1))
 	case 2:
-		// Wide symbolic multiplication is a known blowup shape; the
-		// rationale lives in the shared cost-pattern table
-		// (lint.CostWideMul), which also drives the lint advisor that
-		// flags the same shape in user models. Narrow vectors only;
-		// wider types fall through to addition.
-		if t.Width <= lint.MulFriendlyWidth {
+		// Wide symbolic multiplication is a known blowup shape (see
+		// lint.CostWideMul for the rationale). The width threshold lives
+		// in internal/cost, shared with the lint advisor that flags the
+		// same shape in user models. Narrow vectors only; wider types
+		// fall through to addition.
+		if t.Width <= cost.MulFriendlyWidth {
 			return g.B.Mul(g.gen(t, depth-1), g.gen(t, depth-1))
 		}
 		return g.B.Add(g.gen(t, depth-1), g.constOf(t))
@@ -262,12 +262,12 @@ func (g *Gen) genBV(t *core.Type, depth int) *core.Node {
 		// Shift amounts deliberately reach width+1 to probe the
 		// shift-out-of-range edge in every backend. On wide vectors only
 		// edge amounts are drawn: mid-range shifts there are a known BDD
-		// blowup shape — see lint.CostMidShift in the shared cost-pattern
-		// table, which keeps this generator and the lint advisor agreed
-		// on where "safe" ends.
+		// blowup shape (see lint.CostMidShift). The edge set comes from
+		// internal/cost, which keeps this generator, the lint advisor and
+		// the auto-backend predictor agreed on where "safe" ends.
 		var amt int
-		if t.Width > lint.WideShiftWidth {
-			edges := lint.ShiftEdgeAmounts(t.Width)
+		if t.Width > cost.WideShiftWidth {
+			edges := cost.ShiftEdgeAmounts(t.Width)
 			amt = edges[g.rng.Intn(len(edges))]
 		} else {
 			amt = g.rng.Intn(t.Width + 2)

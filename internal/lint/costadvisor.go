@@ -2,6 +2,7 @@ package lint
 
 import (
 	"zen-go/internal/core"
+	"zen-go/internal/cost"
 )
 
 // CostAdvisor flags DAG shapes the solver backends are known to choke on,
@@ -40,15 +41,15 @@ func runCostAdvisor(p *Pass) {
 
 		switch n.Op {
 		case core.OpMul:
-			if n.Type.Width > MulFriendlyWidth && !reported[n] &&
+			if n.Type.Width > cost.MulFriendlyWidth && !reported[n] &&
 				(n.Kids[0].Op != core.OpConst || n.Kids[1].Op != core.OpConst) {
 				reported[n] = true
 				p.ReportCost(PatternFor(CostWideMul), n,
 					"symbolic multiplication at width %d (safe limit %d)",
-					n.Type.Width, MulFriendlyWidth)
+					n.Type.Width, cost.MulFriendlyWidth)
 			}
 		case core.OpShl, core.OpShr:
-			if MidRangeShift(n.Type.Width, n.Index) && !reported[n] &&
+			if cost.MidRangeShift(n.Type.Width, n.Index) && !reported[n] &&
 				(underArith || arith[n.Kids[0]]) {
 				reported[n] = true
 				p.ReportCost(PatternFor(CostMidShift), n,
@@ -69,10 +70,10 @@ func runCostAdvisor(p *Pass) {
 	}
 	walk(p.Root, false, 0)
 
-	if deepestDepth > DeepCaseDepth {
+	if deepestDepth > cost.DeepCaseDepth {
 		p.ReportCost(PatternFor(CostDeepLists), deepest,
 			"list eliminations nested %d deep (advisory limit %d)",
-			deepestDepth, DeepCaseDepth)
+			deepestDepth, cost.DeepCaseDepth)
 	}
 }
 

@@ -4,10 +4,10 @@ package lint
 // solver-cost hazards. The differential fuzzer (internal/fuzz) discovered
 // these shapes empirically — campaigns that generated them timed out the
 // BDD backend rather than finding real divergences — and its generator now
-// steers around them using the thresholds below. The lint cost advisor
-// (costadvisor.go) flags the same shapes in user models using the same
-// table, so the fuzzer's avoidance rules and the linter's warnings cannot
-// drift apart: tightening a threshold here changes both at once.
+// steers around them. The lint cost advisor (costadvisor.go) flags the same
+// shapes in user models. Both read the thresholds from internal/cost, as
+// does the absint auto-backend predictor, so the fuzzer's avoidance rules,
+// the linter's warnings and the predictor's picks cannot drift apart.
 
 // CostClass identifies one hazard shape from the table.
 type CostClass int
@@ -23,53 +23,6 @@ const (
 	// whose guarded-union encoding grows multiplicatively with depth.
 	CostDeepLists
 )
-
-// Cost thresholds. Shared constants, not config: the fuzz generator and the
-// lint advisor must agree on where "safe" ends.
-const (
-	// MulFriendlyWidth is the widest bitvector for which symbolic
-	// multiplication stays tractable in every backend. Multiplication is
-	// quadratic in width for SAT and exponential for BDDs — even
-	// multiplication by an arbitrary odd constant blows up the variable
-	// ordering at 32 bits. The fuzz generator only emits Mul at or below
-	// this width; the advisor flags Mul above it.
-	MulFriendlyWidth = 8
-
-	// WideShiftWidth is the width above which only edge shift amounts
-	// (0, 1, w-1, w, w+1) are cheap. A mid-range shift under arithmetic
-	// links bit i to bit i+k for large k, which is exponential for the
-	// BDD backend — the same reason multiplication is banned there. The
-	// fuzz generator draws only edge amounts above this width; the advisor
-	// flags mid-range amounts above it.
-	WideShiftWidth = 24
-
-	// DeepCaseDepth is the nesting depth of list case-elimination beyond
-	// which the advisor warns: each level multiplies the guarded-union
-	// encoding by the list bound, so depth beyond this reads as unbounded
-	// recursion to the solver.
-	DeepCaseDepth = 8
-)
-
-// ShiftEdgeAmounts returns the cheap shift amounts for a bitvector of the
-// given width: identity-adjacent and out-of-range edges only. The fuzz
-// generator draws from exactly this set on wide vectors.
-func ShiftEdgeAmounts(width int) []int {
-	return []int{0, 1, width - 1, width, width + 1}
-}
-
-// MidRangeShift reports whether shifting a width-bit vector by amount is a
-// mid-range shift on a wide vector — the hazardous case.
-func MidRangeShift(width, amount int) bool {
-	if width <= WideShiftWidth {
-		return false
-	}
-	for _, e := range ShiftEdgeAmounts(width) {
-		if amount == e {
-			return false
-		}
-	}
-	return true
-}
 
 // CostPattern is one row of the hazard table: what to look for, why it is
 // expensive, and how severe it is per backend.

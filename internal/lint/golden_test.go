@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"zen-go/internal/core"
+	"zen-go/internal/cost"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -71,7 +72,7 @@ func TestDiagnosticsGolden(t *testing.T) {
 					return b.Add(h, descend(tail, depth-1))
 				})
 			}
-			return descend(l, DeepCaseDepth+1), nil
+			return descend(l, cost.DeepCaseDepth+1), nil
 		}},
 		{"default-route mask forces the match", func(b *core.Builder) (*core.Node, *core.Node) {
 			dst := b.Var(u32, "dst")

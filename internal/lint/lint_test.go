@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"zen-go/internal/core"
+	"zen-go/internal/cost"
 )
 
 func codes(diags []Diagnostic) []string {
@@ -263,7 +264,7 @@ func TestCostAdvisorDeepLists(t *testing.T) {
 			return b.Add(h, descend(tail, depth-1))
 		})
 	}
-	root := descend(l, DeepCaseDepth+2)
+	root := descend(l, cost.DeepCaseDepth+2)
 	diags := Run(root, nil, CostAdvisor)
 	if !hasCode(diags, "ZL503") {
 		t.Fatalf("want ZL503 on deep case nesting, got %v", codes(diags))

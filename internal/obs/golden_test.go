@@ -89,7 +89,7 @@ func TestRecAllocs(t *testing.T) {
 	var st Stats
 	n := testing.AllocsPerRun(200, func() {
 		r := Begin(&st, nil, "bitslice", "evaluate")
-		r.AddBitslice(BitsliceStats{Batches: 2, Packets: 100})
+		r.Add(Snapshot{Bitslice: BitsliceStats{Batches: 2, Packets: 100}})
 		r.End()
 	})
 	if n > 3 {

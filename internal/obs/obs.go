@@ -11,6 +11,9 @@
 // for those measurements:
 //
 //   - Snapshot is a plain, copyable record of counters and phase timings.
+//   - SnapshotMetrics is the counter table: one row per Snapshot counter
+//     drives the merge, Rec.Add, the /metrics exposition and the stable
+//     family check (see metric.go).
 //   - Stats is a mutex-guarded accumulator of Snapshots; analyses attach
 //     one via zen.WithStats and read it back after the call.
 //   - Tracer/Span is the pluggable tracing hook: each analysis opens a
@@ -29,6 +32,7 @@ package obs
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -286,110 +290,38 @@ func (s *Snapshot) addPhase(name string, d time.Duration, n int64) {
 	s.Phases = append(s.Phases, PhaseTiming{Name: name, Count: n, Total: d})
 }
 
+// merge adds o into s: every additive row of SnapshotMetrics sums, DAG
+// keeps the larger record and phases accumulate by name.
 func (s *Snapshot) merge(o *Snapshot) {
-	s.Analyses += o.Analyses
-	for k, v := range o.AnalysesBy {
-		if s.AnalysesBy == nil {
-			s.AnalysesBy = make(map[string]int64)
-		}
-		s.AnalysesBy[k] += v
+	for _, off := range counterOffs {
+		*fieldAt[int64](s, off) += *fieldAt[int64](o, off)
 	}
-	s.Solves += o.Solves
-	s.Sat += o.Sat
+	for _, off := range mapOffs {
+		src := *fieldAt[map[string]int64](o, off)
+		if len(src) == 0 {
+			continue
+		}
+		dst := fieldAt[map[string]int64](s, off)
+		if *dst == nil {
+			*dst = make(map[string]int64, len(src))
+		}
+		for k, v := range src {
+			(*dst)[k] += v
+		}
+	}
 	for _, p := range o.Phases {
 		s.addPhase(p.Name, p.Total, p.Count)
 	}
 	if o.DAG.Nodes > s.DAG.Nodes {
 		s.DAG = o.DAG
 	}
-	s.BDD.Nodes += o.BDD.Nodes
-	s.BDD.CacheHits += o.BDD.CacheHits
-	s.BDD.CacheMisses += o.BDD.CacheMisses
-	s.BDD.UniqueHits += o.BDD.UniqueHits
-	s.SAT.Vars += o.SAT.Vars
-	s.SAT.Clauses += o.SAT.Clauses
-	s.SAT.Learned += o.SAT.Learned
-	s.SAT.Decisions += o.SAT.Decisions
-	s.SAT.Propagations += o.SAT.Propagations
-	s.SAT.Conflicts += o.SAT.Conflicts
-	s.SAT.Restarts += o.SAT.Restarts
-	s.SAT.Imported += o.SAT.Imported
-	s.SAT.Exported += o.SAT.Exported
-	s.Compile.Compiles += o.Compile.Compiles
-	s.Compile.Instructions += o.Compile.Instructions
-	s.Compile.Registers += o.Compile.Registers
-	s.Bitslice.Plans += o.Bitslice.Plans
-	s.Bitslice.PlanOps += o.Bitslice.PlanOps
-	s.Bitslice.PlanRegs += o.Bitslice.PlanRegs
-	s.Bitslice.Batches += o.Bitslice.Batches
-	s.Bitslice.Packets += o.Bitslice.Packets
-	s.Bitslice.Fallbacks += o.Bitslice.Fallbacks
-	s.StateSet.Transformers += o.StateSet.Transformers
-	s.StateSet.FreshSpaces += o.StateSet.FreshSpaces
-	s.StateSet.Forwards += o.StateSet.Forwards
-	s.StateSet.Reverses += o.StateSet.Reverses
-	s.Fuzz.Execs += o.Fuzz.Execs
-	s.Fuzz.Divergences += o.Fuzz.Divergences
-	s.Fuzz.Shrinks += o.Fuzz.Shrinks
-	s.Lint.Models += o.Lint.Models
-	s.Lint.Findings += o.Lint.Findings
-	s.Lint.Suppressed += o.Lint.Suppressed
-	s.Serve.Queries += o.Serve.Queries
-	s.Serve.CacheHits += o.Serve.CacheHits
-	s.Serve.CacheMisses += o.Serve.CacheMisses
-	s.Serve.Subsumed += o.Serve.Subsumed
-	s.Serve.SnapshotHits += o.Serve.SnapshotHits
-	s.Serve.Coalesced += o.Serve.Coalesced
-	s.Serve.Shed += o.Serve.Shed
-	s.Serve.Cancelled += o.Serve.Cancelled
-	s.Serve.Errors += o.Serve.Errors
-	s.Serve.Updates += o.Serve.Updates
-	s.Serve.DeltaReused += o.Serve.DeltaReused
-	s.Serve.DeltaReverified += o.Serve.DeltaReverified
-	s.Portfolio.Races += o.Portfolio.Races
-	for k, v := range o.Portfolio.WinsBy {
-		if s.Portfolio.WinsBy == nil {
-			s.Portfolio.WinsBy = make(map[string]int64)
-		}
-		s.Portfolio.WinsBy[k] += v
-	}
-	s.Portfolio.ClausesShared += o.Portfolio.ClausesShared
-	s.Portfolio.ClausesImported += o.Portfolio.ClausesImported
-	s.Portfolio.LoserAborts += o.Portfolio.LoserAborts
-	s.Portfolio.LoserAbortNs += o.Portfolio.LoserAbortNs
-	s.Absint.Presolves += o.Absint.Presolves
-	s.Absint.NodesBefore += o.Absint.NodesBefore
-	s.Absint.NodesAfter += o.Absint.NodesAfter
-	s.Absint.Folds += o.Absint.Folds
-	s.Absint.ComparesDecided += o.Absint.ComparesDecided
-	s.Absint.BranchesPruned += o.Absint.BranchesPruned
-	s.Absint.SlicedInputs += o.Absint.SlicedInputs
-	for k, v := range o.Absint.AutoPicks {
-		if s.Absint.AutoPicks == nil {
-			s.Absint.AutoPicks = make(map[string]int64)
-		}
-		s.Absint.AutoPicks[k] += v
-	}
 }
 
 func (s *Snapshot) clone() Snapshot {
 	c := *s
-	if s.AnalysesBy != nil {
-		c.AnalysesBy = make(map[string]int64, len(s.AnalysesBy))
-		for k, v := range s.AnalysesBy {
-			c.AnalysesBy[k] = v
-		}
-	}
-	if s.Portfolio.WinsBy != nil {
-		c.Portfolio.WinsBy = make(map[string]int64, len(s.Portfolio.WinsBy))
-		for k, v := range s.Portfolio.WinsBy {
-			c.Portfolio.WinsBy[k] = v
-		}
-	}
-	if s.Absint.AutoPicks != nil {
-		c.Absint.AutoPicks = make(map[string]int64, len(s.Absint.AutoPicks))
-		for k, v := range s.Absint.AutoPicks {
-			c.Absint.AutoPicks[k] = v
+	for _, off := range mapOffs {
+		if m := *fieldAt[map[string]int64](s, off); m != nil {
+			*fieldAt[map[string]int64](&c, off) = maps.Clone(m)
 		}
 	}
 	c.Phases = append([]PhaseTiming(nil), s.Phases...)

@@ -19,7 +19,7 @@ func TestRecMergesIntoStats(t *testing.T) {
 	stop()
 	r.SetDAG(10, 3, 1)
 	r.CountSolve(true)
-	r.AddBDD(BDDStats{Nodes: 5, CacheHits: 8, CacheMisses: 2})
+	r.Add(Snapshot{BDD: BDDStats{Nodes: 5, CacheHits: 8, CacheMisses: 2}})
 	r.End()
 
 	s := st.Snapshot()

@@ -100,141 +100,9 @@ func escapeLabel(s string) string {
 }
 
 // WriteSnapshotMetrics renders a telemetry snapshot (typically the
-// Global aggregate) as Prometheus families under the zen_ prefix. The
-// serve section is omitted: the live server exposes its own counters
-// and histograms (internal/serve), and double-reporting the same totals
-// under two names would make every dashboard ambiguous.
+// Global aggregate) as the Prometheus families of SnapshotMetrics.
 func WriteSnapshotMetrics(m *MetricsWriter, s Snapshot) {
-	m.Family("zen_analyses_total", "counter", "Completed analyses (Find, Verify, FindAll, Evaluate, ...).")
-	m.Sample("", nil, float64(s.Analyses))
-
-	m.Family("zen_analyses_by_backend_total", "counter", "Completed analyses by solver backend.")
-	backends := make([]string, 0, len(s.AnalysesBy))
-	for k := range s.AnalysesBy {
-		backends = append(backends, k)
-	}
-	sort.Strings(backends)
-	for _, k := range backends {
-		m.Sample("", [][2]string{{"backend", k}}, float64(s.AnalysesBy[k]))
-	}
-
-	m.Family("zen_solves_total", "counter", "Solver invocations (FindAll re-solves count individually).")
-	m.Sample("", nil, float64(s.Solves))
-	m.Family("zen_solves_sat_total", "counter", "Solver invocations that returned a model.")
-	m.Sample("", nil, float64(s.Sat))
-
-	m.Family("zen_phase_seconds_total", "counter", "Accumulated wall time per analysis phase.")
-	for _, p := range sortedPhases(s.Phases) {
-		m.Sample("", [][2]string{{"phase", p.Name}}, p.Total.Seconds())
-	}
-	m.Family("zen_phase_count_total", "counter", "Occurrences per analysis phase.")
-	for _, p := range sortedPhases(s.Phases) {
-		m.Sample("", [][2]string{{"phase", p.Name}}, float64(p.Count))
-	}
-
-	m.Family("zen_dag_nodes_max", "gauge", "Expression-DAG nodes of the largest analyzed model.")
-	m.Sample("", nil, float64(s.DAG.Nodes))
-
-	m.Family("zen_bdd_nodes_total", "counter", "Allocated nonterminal BDD nodes.")
-	m.Sample("", nil, float64(s.BDD.Nodes))
-	m.Family("zen_bdd_cache_hits_total", "counter", "BDD operation-cache hits.")
-	m.Sample("", nil, float64(s.BDD.CacheHits))
-	m.Family("zen_bdd_cache_misses_total", "counter", "BDD operation-cache misses.")
-	m.Sample("", nil, float64(s.BDD.CacheMisses))
-	m.Family("zen_bdd_unique_hits_total", "counter", "BDD unique-table hits.")
-	m.Sample("", nil, float64(s.BDD.UniqueHits))
-
-	m.Family("zen_sat_clauses_total", "counter", "CNF clauses added across SAT solves.")
-	m.Sample("", nil, float64(s.SAT.Clauses))
-	m.Family("zen_sat_learned_total", "counter", "Learned clauses across SAT solves.")
-	m.Sample("", nil, float64(s.SAT.Learned))
-	m.Family("zen_sat_decisions_total", "counter", "CDCL decisions across SAT solves.")
-	m.Sample("", nil, float64(s.SAT.Decisions))
-	m.Family("zen_sat_propagations_total", "counter", "Unit propagations across SAT solves.")
-	m.Sample("", nil, float64(s.SAT.Propagations))
-	m.Family("zen_sat_conflicts_total", "counter", "Conflicts across SAT solves.")
-	m.Sample("", nil, float64(s.SAT.Conflicts))
-	m.Family("zen_sat_restarts_total", "counter", "Restarts across SAT solves.")
-	m.Sample("", nil, float64(s.SAT.Restarts))
-
-	m.Family("zen_portfolio_races_total", "counter", "Solver-portfolio races run.")
-	m.Sample("", nil, float64(s.Portfolio.Races))
-	m.Family("zen_portfolio_wins_total", "counter", "Solver-portfolio races by winning strategy.")
-	strategies := make([]string, 0, len(s.Portfolio.WinsBy))
-	for k := range s.Portfolio.WinsBy {
-		strategies = append(strategies, k)
-	}
-	sort.Strings(strategies)
-	for _, k := range strategies {
-		m.Sample("", [][2]string{{"strategy", k}}, float64(s.Portfolio.WinsBy[k]))
-	}
-	m.Family("zen_portfolio_clauses_shared_total", "counter", "Clauses exported to the portfolio clause exchange.")
-	m.Sample("", nil, float64(s.Portfolio.ClausesShared))
-	m.Family("zen_portfolio_clauses_imported_total", "counter", "Clauses accepted from the portfolio clause exchange.")
-	m.Sample("", nil, float64(s.Portfolio.ClausesImported))
-	m.Family("zen_portfolio_loser_aborts_total", "counter", "Losing portfolio strategies torn down after a race.")
-	m.Sample("", nil, float64(s.Portfolio.LoserAborts))
-	m.Family("zen_portfolio_loser_abort_seconds_total", "counter", "Wall time between a race winner's answer and loser teardown.")
-	m.Sample("", nil, float64(s.Portfolio.LoserAbortNs)/1e9)
-
-	m.Family("zen_compiles_total", "counter", "Model compilations.")
-	m.Sample("", nil, float64(s.Compile.Compiles))
-	m.Family("zen_compile_instructions_total", "counter", "Instructions emitted by model compilation.")
-	m.Sample("", nil, float64(s.Compile.Instructions))
-
-	m.Family("zen_bitslice_plans_total", "counter", "Bitslice plan compilations.")
-	m.Sample("", nil, float64(s.Bitslice.Plans))
-	m.Family("zen_bitslice_plan_ops_total", "counter", "Word instructions emitted by bitslice plan compilation.")
-	m.Sample("", nil, float64(s.Bitslice.PlanOps))
-	m.Family("zen_bitslice_batches_total", "counter", "Bitslice 64-lane batch executions.")
-	m.Sample("", nil, float64(s.Bitslice.Batches))
-	m.Family("zen_bitslice_packets_total", "counter", "Inputs evaluated through the bitslice batch engine.")
-	m.Sample("", nil, float64(s.Bitslice.Packets))
-	m.Family("zen_bitslice_fallbacks_total", "counter", "Batch evaluations served by the scalar path (model outside the bitslice fragment).")
-	m.Sample("", nil, float64(s.Bitslice.Fallbacks))
-	m.Family("zen_bitslice_lanes", "gauge", "Batch width of the bitslice engine (packets per plan execution).")
-	m.Sample("", nil, 64)
-
-	m.Family("zen_stateset_transformers_total", "counter", "State-set transformers built.")
-	m.Sample("", nil, float64(s.StateSet.Transformers))
-	m.Family("zen_stateset_forwards_total", "counter", "State-set forward applications.")
-	m.Sample("", nil, float64(s.StateSet.Forwards))
-	m.Family("zen_stateset_reverses_total", "counter", "State-set reverse applications.")
-	m.Sample("", nil, float64(s.StateSet.Reverses))
-
-	m.Family("zen_fuzz_execs_total", "counter", "Differential-fuzzing oracle executions.")
-	m.Sample("", nil, float64(s.Fuzz.Execs))
-	m.Family("zen_fuzz_divergences_total", "counter", "Differential-fuzzing divergences.")
-	m.Sample("", nil, float64(s.Fuzz.Divergences))
-
-	m.Family("zen_presolve_runs_total", "counter", "Abstract-interpretation presolve passes over query DAGs.")
-	m.Sample("", nil, float64(s.Absint.Presolves))
-	m.Family("zen_presolve_nodes_before_total", "counter", "DAG nodes entering presolve.")
-	m.Sample("", nil, float64(s.Absint.NodesBefore))
-	m.Family("zen_presolve_nodes_after_total", "counter", "DAG nodes surviving presolve.")
-	m.Sample("", nil, float64(s.Absint.NodesAfter))
-	m.Family("zen_presolve_folds_total", "counter", "Nodes constant-folded by presolve.")
-	m.Sample("", nil, float64(s.Absint.Folds))
-	m.Family("zen_presolve_compares_decided_total", "counter", "Comparisons decided statically by presolve.")
-	m.Sample("", nil, float64(s.Absint.ComparesDecided))
-	m.Family("zen_presolve_branches_pruned_total", "counter", "Conditional branches pruned by presolve.")
-	m.Sample("", nil, float64(s.Absint.BranchesPruned))
-	m.Family("zen_presolve_sliced_inputs_total", "counter", "Input variables sliced from cones of influence by presolve.")
-	m.Sample("", nil, float64(s.Absint.SlicedInputs))
-	m.Family("zen_auto_backend_picks_total", "counter", "backend:auto resolutions by statically chosen backend.")
-	picks := make([]string, 0, len(s.Absint.AutoPicks))
-	for k := range s.Absint.AutoPicks {
-		picks = append(picks, k)
-	}
-	sort.Strings(picks)
-	for _, k := range picks {
-		m.Sample("", [][2]string{{"backend", k}}, float64(s.Absint.AutoPicks[k]))
-	}
-
-	m.Family("zen_lint_models_total", "counter", "Models analyzed by zenlint.")
-	m.Sample("", nil, float64(s.Lint.Models))
-	m.Family("zen_lint_findings_total", "counter", "zenlint findings after suppression.")
-	m.Sample("", nil, float64(s.Lint.Findings))
+	WriteMetricTable(m, SnapshotMetrics, &s)
 }
 
 func sortedPhases(ps []PhaseTiming) []PhaseTiming {

@@ -104,108 +104,14 @@ func (r *Rec) ReportBackend(alg any) {
 	}
 }
 
-// AddBDD accumulates BDD counters (used by the state-set world, which
-// harvests deltas from its long-lived manager).
-func (r *Rec) AddBDD(d BDDStats) {
+// Add accumulates d into the record under the same rules as Stats.Merge.
+// Instrumentation sites pass the section they counted, e.g.
+// Add(Snapshot{Bitslice: BitsliceStats{Batches: n}}).
+func (r *Rec) Add(d Snapshot) {
 	if r == nil {
 		return
 	}
-	r.s.BDD.Nodes += d.Nodes
-	r.s.BDD.CacheHits += d.CacheHits
-	r.s.BDD.CacheMisses += d.CacheMisses
-	r.s.BDD.UniqueHits += d.UniqueHits
-}
-
-// AddCompile accumulates model-compilation counters.
-func (r *Rec) AddCompile(d CompileStats) {
-	if r == nil {
-		return
-	}
-	r.s.Compile.Compiles += d.Compiles
-	r.s.Compile.Instructions += d.Instructions
-	r.s.Compile.Registers += d.Registers
-}
-
-// AddBitslice accumulates batch-evaluation counters.
-func (r *Rec) AddBitslice(d BitsliceStats) {
-	if r == nil {
-		return
-	}
-	r.s.Bitslice.Plans += d.Plans
-	r.s.Bitslice.PlanOps += d.PlanOps
-	r.s.Bitslice.PlanRegs += d.PlanRegs
-	r.s.Bitslice.Batches += d.Batches
-	r.s.Bitslice.Packets += d.Packets
-	r.s.Bitslice.Fallbacks += d.Fallbacks
-}
-
-// AddStateSet accumulates state-set transformer counters.
-func (r *Rec) AddStateSet(d StateSetStats) {
-	if r == nil {
-		return
-	}
-	r.s.StateSet.Transformers += d.Transformers
-	r.s.StateSet.FreshSpaces += d.FreshSpaces
-	r.s.StateSet.Forwards += d.Forwards
-	r.s.StateSet.Reverses += d.Reverses
-}
-
-// AddFuzz accumulates differential-fuzzing campaign counters.
-func (r *Rec) AddFuzz(d FuzzStats) {
-	if r == nil {
-		return
-	}
-	r.s.Fuzz.Execs += d.Execs
-	r.s.Fuzz.Divergences += d.Divergences
-	r.s.Fuzz.Shrinks += d.Shrinks
-}
-
-// AddPortfolio accumulates solver-portfolio race counters.
-func (r *Rec) AddPortfolio(d PortfolioStats) {
-	if r == nil {
-		return
-	}
-	r.s.Portfolio.Races += d.Races
-	for k, v := range d.WinsBy {
-		if r.s.Portfolio.WinsBy == nil {
-			r.s.Portfolio.WinsBy = make(map[string]int64)
-		}
-		r.s.Portfolio.WinsBy[k] += v
-	}
-	r.s.Portfolio.ClausesShared += d.ClausesShared
-	r.s.Portfolio.ClausesImported += d.ClausesImported
-	r.s.Portfolio.LoserAborts += d.LoserAborts
-	r.s.Portfolio.LoserAbortNs += d.LoserAbortNs
-}
-
-// AddAbsint accumulates abstract-interpretation presolve counters.
-func (r *Rec) AddAbsint(d AbsintStats) {
-	if r == nil {
-		return
-	}
-	r.s.Absint.Presolves += d.Presolves
-	r.s.Absint.NodesBefore += d.NodesBefore
-	r.s.Absint.NodesAfter += d.NodesAfter
-	r.s.Absint.Folds += d.Folds
-	r.s.Absint.ComparesDecided += d.ComparesDecided
-	r.s.Absint.BranchesPruned += d.BranchesPruned
-	r.s.Absint.SlicedInputs += d.SlicedInputs
-	for k, v := range d.AutoPicks {
-		if r.s.Absint.AutoPicks == nil {
-			r.s.Absint.AutoPicks = make(map[string]int64)
-		}
-		r.s.Absint.AutoPicks[k] += v
-	}
-}
-
-// AddLint accumulates static-analyzer counters.
-func (r *Rec) AddLint(d LintStats) {
-	if r == nil {
-		return
-	}
-	r.s.Lint.Models += d.Models
-	r.s.Lint.Findings += d.Findings
-	r.s.Lint.Suppressed += d.Suppressed
+	r.s.merge(&d)
 }
 
 // End closes the span and merges the record into the attached Stats and

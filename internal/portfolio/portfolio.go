@@ -216,7 +216,7 @@ func Run(q Query, cfg Config, rec *obs.Rec) (*Session, error) {
 	if t := st.claimed.Load(); t > 0 {
 		outcome.LoserAbortNs = time.Now().UnixNano() - t
 	}
-	rec.AddPortfolio(outcome)
+	rec.Add(obs.Snapshot{Portfolio: outcome})
 	rec.CountSolve(st.res.found)
 
 	sess := &Session{

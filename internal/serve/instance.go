@@ -684,10 +684,7 @@ func (s *Server) resolveTracked(ctx context.Context, m zen.Queryable, t *tracked
 		return resolved{verdict: "error"}
 	}
 	st := &zen.Stats{}
-	opts := []zen.Option{zen.WithBackend(t.backend), zen.WithStats(st)}
-	if t.bound > 0 {
-		opts = append(opts, zen.WithListBound(t.bound))
-	}
+	opts := []zen.Option{zen.WithBackend(t.backend), zen.WithStats(st), zen.WithListBound(t.bound)}
 	args := m.QueryArgs()
 	model, found, err := zen.FindRaw(ctx, cond, args, opts...)
 	if err != nil {

@@ -25,50 +25,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) WriteMetrics(w io.Writer) error {
 	m := obs.NewMetricsWriter(w)
 	obs.WriteSnapshotMetrics(m, obs.Global().Snapshot())
-
-	st := s.Stats()
-	counter := func(name, help string, v int64) {
-		m.Family(name, "counter", help)
-		m.Sample("", nil, float64(v))
-	}
-	gauge := func(name, help string, v float64) {
-		m.Family(name, "gauge", help)
-		m.Sample("", nil, v)
-	}
-	counter("zen_serve_queries_total", "Queries accepted (including cancelled and failed).", st.Queries)
-	counter("zen_serve_cache_hits_total", "Result-cache hits.", st.CacheHits)
-	counter("zen_serve_cache_misses_total", "Result-cache misses.", st.CacheMisses)
-	counter("zen_serve_cache_subsumed_total", "Queries answered by implication from a cached result.", st.Subsumed)
-	counter("zen_serve_cache_snapshot_hits_total", "Cache hits served from a persisted snapshot.", st.SnapshotHits)
-	counter("zen_serve_coalesced_total", "Queries answered by another request's in-flight execution.", st.Coalesced)
-	counter("zen_serve_shed_total", "Queries shed by queue overflow or drain.", st.Shed)
-	counter("zen_serve_cancelled_total", "Queries cancelled by deadline or disconnect.", st.Cancelled)
-	counter("zen_serve_errors_total", "Queries that failed.", st.Errors)
-	counter("zen_serve_updates_total", "Delta updates applied to model instances.", st.Updates)
-	counter("zen_serve_streams_total", "Streaming /v1/evaluate requests accepted.", st.Streams)
-	counter("zen_serve_stream_items_total", "Inputs consumed by streaming /v1/evaluate.", st.StreamItems)
-	counter("zen_serve_stream_errors_total", "Streaming inputs answered with an in-slot error.", st.StreamErrors)
-	counter("zen_serve_delta_reused_total", "Tracked queries answered from cache across an update.", st.DeltaReused)
-	counter("zen_serve_delta_reverified_total", "Tracked queries re-verified after an update.", st.DeltaReverified)
-	gauge("zen_serve_cache_entries", "Result-cache occupancy.", float64(st.CacheLen))
-	gauge("zen_serve_queue_depth", "Executions waiting for a worker.", float64(st.QueueDepth))
-	gauge("zen_serve_workers", "Configured worker count.", float64(st.Workers))
-	draining := 0.0
-	if st.Draining {
-		draining = 1
-	}
-	gauge("zen_serve_draining", "1 while the server drains for shutdown.", draining)
-
-	m.Family("zen_serve_request_seconds", "histogram", "Request wall time, all queries.")
-	m.Histogram(nil, s.latAll.Snapshot())
-
-	m.Family("zen_serve_model_request_seconds", "histogram", "Request wall time by model, backend, and verdict.")
-	for _, series := range s.latVec.Snapshot() {
-		m.Histogram([][2]string{
-			{"model", series.Values[0]},
-			{"backend", series.Values[1]},
-			{"verdict", series.Values[2]},
-		}, series.Hist)
-	}
+	obs.WriteMetricTable(m, serverMetrics, s)
 	return m.Err()
+}
+
+// StableMetrics lists the stable family names of the scrape: the ones
+// dashboards key on, which `zend -check-metrics` requires.
+func StableMetrics() []string {
+	return append(obs.StableNames(obs.SnapshotMetrics), obs.StableNames(serverMetrics)...)
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -66,5 +67,34 @@ func TestServeMetricsGolden(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Fatalf("zen_serve_* scrape drifted from testdata/metrics.golden:\n%s", got.String())
+	}
+}
+
+// TestStableMetrics pins the family names the counter tables mark
+// stable: dropping a Stable flag would silently shrink what `zend
+// -check-metrics` guards.
+func TestStableMetrics(t *testing.T) {
+	got := StableMetrics()
+	sort.Strings(got)
+	want := []string{
+		"zen_analyses_total",
+		"zen_auto_backend_picks_total",
+		"zen_bitslice_packets_total",
+		"zen_portfolio_races_total",
+		"zen_presolve_runs_total",
+		"zen_serve_cache_hits_total",
+		"zen_serve_cache_snapshot_hits_total",
+		"zen_serve_cache_subsumed_total",
+		"zen_serve_delta_reused_total",
+		"zen_serve_delta_reverified_total",
+		"zen_serve_model_request_seconds",
+		"zen_serve_queries_total",
+		"zen_serve_request_seconds",
+		"zen_serve_stream_items_total",
+		"zen_serve_updates_total",
+		"zen_solves_total",
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("stable families = %v, want %v", got, want)
 	}
 }

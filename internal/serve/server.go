@@ -84,7 +84,8 @@ type Request struct {
 	Args []json.RawMessage `json:"args,omitempty"`
 	// Max bounds findall enumeration (default 10).
 	Max int `json:"max,omitempty"`
-	// ListBound bounds symbolic list lengths (default zen's).
+	// ListBound bounds symbolic list lengths (0 means
+	// zen.DefaultListBound; negative is rejected).
 	ListBound int `json:"list_bound,omitempty"`
 	// TimeoutMS bounds this query's solve time.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
@@ -165,6 +166,48 @@ type Server struct {
 	// onExec, when non-nil, observes every solver execution actually
 	// started (cache hits and coalesced waits bypass it). Test hook.
 	onExec func(queryKey)
+}
+
+// serverMetrics declares the zen_serve_* families, in /metrics exposition
+// order, over the atomics and histograms above. serve.Stats reads the
+// same atomics for /v1/stats.
+var serverMetrics = []obs.Metric[Server]{
+	{Name: "zen_serve_queries_total", Help: "Queries accepted (including cancelled and failed).", Stable: true, Value: func(s *Server) float64 { return float64(s.queries.Load()) }},
+	{Name: "zen_serve_cache_hits_total", Help: "Result-cache hits.", Stable: true, Value: func(s *Server) float64 { return float64(s.cacheHits.Load()) }},
+	{Name: "zen_serve_cache_misses_total", Help: "Result-cache misses.", Value: func(s *Server) float64 { return float64(s.cacheMiss.Load()) }},
+	{Name: "zen_serve_cache_subsumed_total", Help: "Queries answered by implication from a cached result.", Stable: true, Value: func(s *Server) float64 { return float64(s.subsumed.Load()) }},
+	{Name: "zen_serve_cache_snapshot_hits_total", Help: "Cache hits served from a persisted snapshot.", Stable: true, Value: func(s *Server) float64 { return float64(s.snapHits.Load()) }},
+	{Name: "zen_serve_coalesced_total", Help: "Queries answered by another request's in-flight execution.", Value: func(s *Server) float64 { return float64(s.coalesced.Load()) }},
+	{Name: "zen_serve_shed_total", Help: "Queries shed by queue overflow or drain.", Value: func(s *Server) float64 { return float64(s.shed.Load()) }},
+	{Name: "zen_serve_cancelled_total", Help: "Queries cancelled by deadline or disconnect.", Value: func(s *Server) float64 { return float64(s.cancelled.Load()) }},
+	{Name: "zen_serve_errors_total", Help: "Queries that failed.", Value: func(s *Server) float64 { return float64(s.errors.Load()) }},
+	{Name: "zen_serve_updates_total", Help: "Delta updates applied to model instances.", Stable: true, Value: func(s *Server) float64 { return float64(s.updates.Load()) }},
+	{Name: "zen_serve_streams_total", Help: "Streaming /v1/evaluate requests accepted.", Value: func(s *Server) float64 { return float64(s.streams.Load()) }},
+	{Name: "zen_serve_stream_items_total", Help: "Inputs consumed by streaming /v1/evaluate.", Stable: true, Value: func(s *Server) float64 { return float64(s.streamItems.Load()) }},
+	{Name: "zen_serve_stream_errors_total", Help: "Streaming inputs answered with an in-slot error.", Value: func(s *Server) float64 { return float64(s.streamErrors.Load()) }},
+	{Name: "zen_serve_delta_reused_total", Help: "Tracked queries answered from cache across an update.", Stable: true, Value: func(s *Server) float64 { return float64(s.deltaReuse.Load()) }},
+	{Name: "zen_serve_delta_reverified_total", Help: "Tracked queries re-verified after an update.", Stable: true, Value: func(s *Server) float64 { return float64(s.deltaRerun.Load()) }},
+	{Name: "zen_serve_cache_entries", Help: "Result-cache occupancy.", Kind: obs.KindGauge, Value: func(s *Server) float64 { return float64(s.cache.len()) }},
+	{Name: "zen_serve_queue_depth", Help: "Executions waiting for a worker.", Kind: obs.KindGauge, Value: func(s *Server) float64 { return float64(s.pool.queued()) }},
+	{Name: "zen_serve_workers", Help: "Configured worker count.", Kind: obs.KindGauge, Value: func(s *Server) float64 { return float64(s.cfg.Workers) }},
+	{Name: "zen_serve_draining", Help: "1 while the server drains for shutdown.", Kind: obs.KindGauge, Value: func(s *Server) float64 {
+		if s.draining.Load() {
+			return 1
+		}
+		return 0
+	}},
+	{Name: "zen_serve_request_seconds", Help: "Request wall time, all queries.", Kind: obs.KindHistogram, Stable: true, Write: func(m *obs.MetricsWriter, s *Server) {
+		m.Histogram(nil, s.latAll.Snapshot())
+	}},
+	{Name: "zen_serve_model_request_seconds", Help: "Request wall time by model, backend, and verdict.", Kind: obs.KindHistogram, Stable: true, Write: func(m *obs.MetricsWriter, s *Server) {
+		for _, series := range s.latVec.Snapshot() {
+			m.Histogram([][2]string{
+				{"model", series.Values[0]},
+				{"backend", series.Values[1]},
+				{"verdict", series.Values[2]},
+			}, series.Hist)
+		}
+	}},
 }
 
 // New builds a server over the current zen.RegisterModel registry.
@@ -435,7 +478,16 @@ func (s *Server) prepare(req *Request) (*query, *Response) {
 		gen:     gen,
 		timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
 	}
-	q.key = queryKey{model: req.Model, backend: backend, max: req.Max, bound: req.ListBound, gen: gen}
+	// Normalize the list bound here so the cache key, the subsumption
+	// world and the solve all see the bound the solver runs at.
+	bound := req.ListBound
+	switch {
+	case bound < 0:
+		return fail(http.StatusBadRequest, ErrBadArgs, "list_bound %d is negative", bound)
+	case bound == 0:
+		bound = zen.DefaultListBound
+	}
+	q.key = queryKey{model: req.Model, backend: backend, max: req.Max, bound: bound, gen: gen}
 	switch req.Kind {
 	case "find", "findall", "verify":
 		if req.Kind == "find" {
@@ -504,7 +556,7 @@ func (s *Server) execute(ctx context.Context, q *query) *Response {
 		s.onExec(q.key)
 	}
 	st := &zen.Stats{}
-	opts := []zen.Option{zen.WithBackend(q.key.backend), zen.WithStats(st)}
+	opts := []zen.Option{zen.WithBackend(q.key.backend), zen.WithStats(st), zen.WithListBound(q.key.bound)}
 	if s.cfg.Presolve {
 		opts = append(opts, zen.WithPresolve())
 	}
@@ -516,9 +568,6 @@ func (s *Server) execute(ctx context.Context, q *query) *Response {
 		// decode) under the request root, so the inline trace shows the
 		// whole request as one tree.
 		opts = append(opts, zen.WithTracer(obs.ChildTracer(q.span)))
-	}
-	if q.key.bound > 0 {
-		opts = append(opts, zen.WithListBound(q.key.bound))
 	}
 	m := q.m
 	args := q.args

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"zen-go/internal/bdd"
+	"zen-go/zen"
 )
 
 // Persistent per-model snapshots: the warm state a drained zend writes
@@ -31,13 +32,16 @@ import (
 
 // snapshotFile is the on-disk format, one file per model.
 type snapshotFile struct {
-	APIVersion string         `json:"api_version"`
-	Model      string         `json:"model"`
-	ModelFP    string         `json:"model_fp"`
-	Entries    []snapEntry    `json:"entries,omitempty"`
-	BDD        *bdd.Snapshot  `json:"bdd,omitempty"`
-	Unsat      []snapSubEntry `json:"unsat,omitempty"`
-	Sat        []snapSubEntry `json:"sat,omitempty"`
+	APIVersion string        `json:"api_version"`
+	Model      string        `json:"model"`
+	ModelFP    string        `json:"model_fp"`
+	Entries    []snapEntry   `json:"entries,omitempty"`
+	BDD        *bdd.Snapshot `json:"bdd,omitempty"`
+	// ListBound is the list bound BDD's subsumption world was built at;
+	// a world is only reloaded at the bound it was built for.
+	ListBound int            `json:"list_bound,omitempty"`
+	Unsat     []snapSubEntry `json:"unsat,omitempty"`
+	Sat       []snapSubEntry `json:"sat,omitempty"`
 }
 
 // snapEntry is one exact, fingerprint-keyed result.
@@ -139,6 +143,9 @@ func (s *Server) loadSnapshots() {
 		st.mu.Lock()
 		for i := range file.Entries {
 			e := &file.Entries[i]
+			if e.Bound == 0 {
+				e.Bound = zen.DefaultListBound // written before bounds were normalized
+			}
 			k := snapKey{model: name, fp: e.FP, max: e.Max, bound: e.Bound}
 			switch e.Kind {
 			case "find":
@@ -153,13 +160,13 @@ func (s *Server) loadSnapshots() {
 			st.exact[k] = e
 		}
 		st.mu.Unlock()
-		if file.BDD == nil {
+		if file.BDD == nil || file.ListBound != zen.DefaultListBound {
 			continue
 		}
 		// Rebuild the subsumption world: Fresh allocation is
-		// deterministic for a fixed model, so the persisted levels line
-		// up with a freshly-built world's.
-		key := subWorldKey{model: name, gen: 0, bound: 0}
+		// deterministic for a fixed model and bound, so the persisted
+		// levels line up with a freshly-built world's.
+		key := subWorldKey{model: name, gen: 0, bound: zen.DefaultListBound}
 		s.subsume.mu.Lock()
 		w := s.subsume.world(key, m.QueryArgs())
 		roots, err := w.alg.Man.Import(file.BDD)
@@ -227,12 +234,12 @@ func (s *Server) writeSnapshots() error {
 			Solves: res.SolveCount(),
 		})
 	}
-	// Subsumption worlds: export each registry model's gen-0, bound-0
-	// world (list-bounded worlds use per-bound variable spaces and are
-	// not persisted).
+	// Subsumption worlds: export each registry model's gen-0 world at the
+	// default list bound (worlds at other bounds use their own variable
+	// spaces and are not persisted).
 	s.subsume.mu.Lock()
 	for key, w := range s.subsume.worlds {
-		if key.gen != 0 || key.bound != 0 {
+		if key.gen != 0 || key.bound != zen.DefaultListBound {
 			continue
 		}
 		if _, ok := s.models[key.model]; !ok {
@@ -252,6 +259,7 @@ func (s *Server) writeSnapshots() error {
 			roots = append(roots, e.ref)
 		}
 		f.BDD = w.alg.Man.Export(roots)
+		f.ListBound = key.bound
 	}
 	s.subsume.mu.Unlock()
 

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"zen-go/zen"
 )
 
 func reqOf(kind, pred string) *Request {
@@ -276,5 +278,56 @@ func TestSnapshotStaleModelDiscarded(t *testing.T) {
 	res := s2.Do(ctx, findEq("demo/add8", 5))
 	if res.Status != "sat" || res.FromSnapshot || execs.Load() != 1 {
 		t.Fatalf("stale snapshot consulted: %+v execs=%d", res, execs.Load())
+	}
+}
+
+// TestSubsumptionDefaultListBound: a query that sets no list_bound is
+// solved at zen.DefaultListBound, so its subsumption world must use the
+// same bound. A world built with empty lists compiles every predicate
+// that needs a list element to false; a cached witness for one such
+// predicate then "implies" any other and comes back as a foreign
+// witness.
+func TestSubsumptionDefaultListBound(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ctx := context.Background()
+	find := func(pred string) *Request {
+		return &Request{Model: "nets/routemap.match-clause", Kind: "find", Predicate: json.RawMessage(pred)}
+	}
+	// P: clause 1 matches, which needs community 100 in the list.
+	p := `{"cmp":{"lhs":{"ref":"out"},"op":"eq","rhs":{"lit":1}}}`
+	if res := s.Do(ctx, find(p)); res.Status != "sat" || res.Provenance != ProvCold {
+		t.Fatalf("P: %q/%q (%s)", res.Status, res.Provenance, res.ErrText())
+	}
+	// Q: clause 1 matches with a MED P does not constrain. P does not
+	// imply Q, so Q needs its own solve and its own witness.
+	q := `{"all":[{"cmp":{"lhs":{"ref":"out"},"op":"eq","rhs":{"lit":1}}},{"cmp":{"lhs":{"ref":"in.Med"},"op":"eq","rhs":{"lit":12345}}}]}`
+	res := s.Do(ctx, find(q))
+	if res.Status != "sat" || res.Provenance == ProvSubsumed {
+		t.Fatalf("Q: %q/%q, want a sat answer that is not subsumed", res.Status, res.Provenance)
+	}
+	in, _ := res.Model["in"].(map[string]any)
+	if fmt.Sprint(in["Med"]) != "12345" {
+		t.Fatalf("Q witness = %v, want Med 12345", res.Model)
+	}
+}
+
+// TestListBoundValidation: an unset list_bound means zen's default and
+// shares cache entries with an explicit one; a negative one is rejected.
+func TestListBoundValidation(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ctx := context.Background()
+	pred := json.RawMessage(`{"cmp":{"lhs":{"ref":"out"},"op":"eq","rhs":{"lit":2}}}`)
+	req := func(bound int) *Request {
+		return &Request{Model: "nets/routemap.match-clause", Kind: "find", Predicate: pred, ListBound: bound}
+	}
+	if res := s.Do(ctx, req(0)); res.Status != "sat" || res.Provenance != ProvCold {
+		t.Fatalf("unset bound: %q/%q (%s)", res.Status, res.Provenance, res.ErrText())
+	}
+	if res := s.Do(ctx, req(zen.DefaultListBound)); !res.Cached() {
+		t.Fatalf("explicit default bound: %q, want the cached unset-bound answer", res.Provenance)
+	}
+	res := s.Do(ctx, req(-1))
+	if res.Err == nil || res.Err.Code != ErrBadArgs {
+		t.Fatalf("negative bound: %+v, want %s", res, ErrBadArgs)
 	}
 }

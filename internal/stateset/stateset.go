@@ -58,12 +58,12 @@ func (w *World) begin(op string) *obs.Rec {
 // record, so concurrent-free sequential ops partition the manager's work.
 func (w *World) harvest(r *obs.Rec) {
 	s := w.man.Stats()
-	r.AddBDD(obs.BDDStats{
+	r.Add(obs.Snapshot{BDD: obs.BDDStats{
 		Nodes:       int64(s.Nodes - w.lastBDD.Nodes),
 		CacheHits:   s.CacheHits - w.lastBDD.CacheHits,
 		CacheMisses: s.CacheMiss - w.lastBDD.CacheMiss,
 		UniqueHits:  s.UniqueHits - w.lastBDD.UniqueHits,
-	})
+	}})
 	w.lastBDD = s
 }
 

@@ -81,7 +81,7 @@ func (w *World) Transformer(expr *core.Node, varID int32, inType, outType *core.
 	if priv != nil {
 		ss.FreshSpaces = 1
 	}
-	rec.AddStateSet(ss)
+	rec.Add(obs.Snapshot{StateSet: ss})
 	rec.Event("fresh-space", priv != nil)
 	return &Transformer{w: w, canonIn: canon, privIn: priv,
 		out: out, rel: rel, usedPerm: inRegion.perm}
@@ -124,7 +124,7 @@ func (t *Transformer) Forward(s Set) Set {
 	img := t.w.man.AndExists(cur, t.rel, in.inVarSet())
 	img = t.w.man.Replace(img, t.out.outToIn())
 	stop()
-	rec.AddStateSet(obs.StateSetStats{Forwards: 1})
+	rec.Add(obs.Snapshot{StateSet: obs.StateSetStats{Forwards: 1}})
 	t.w.harvest(rec)
 	return Set{w: t.w, reg: t.out, ref: img}
 }
@@ -144,7 +144,7 @@ func (t *Transformer) Reverse(s Set) Set {
 		pre = t.w.man.Substitute(pre, spaceMap(t.privIn, t.canonIn))
 	}
 	stop()
-	rec.AddStateSet(obs.StateSetStats{Reverses: 1})
+	rec.Add(obs.Snapshot{StateSet: obs.StateSetStats{Reverses: 1}})
 	t.w.harvest(rec)
 	return Set{w: t.w, reg: t.canonIn, ref: pre}
 }

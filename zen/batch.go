@@ -94,7 +94,7 @@ func (fn *Fn[I, O]) evaluateBatch(o *Options, chk cancel.Check, inputs []I) []O 
 	if err != nil {
 		// Outside the bitslice fragment (lists): scalar fallback with
 		// identical semantics.
-		rec.AddBitslice(obs.BitsliceStats{Fallbacks: 1, Packets: int64(len(inputs))})
+		rec.Add(obs.Snapshot{Bitslice: obs.BitsliceStats{Fallbacks: 1, Packets: int64(len(inputs))}})
 		defer rec.Phase("interp")()
 		for i, x := range inputs {
 			env := interp.Env{fn.arg.n.VarID: liftValue(reflectValue(x))}
@@ -103,11 +103,11 @@ func (fn *Fn[I, O]) evaluateBatch(o *Options, chk cancel.Check, inputs []I) []O 
 		return out
 	}
 	if compiled {
-		rec.AddBitslice(obs.BitsliceStats{
+		rec.Add(obs.Snapshot{Bitslice: obs.BitsliceStats{
 			Plans:    1,
 			PlanOps:  int64(plan.NumOps()),
 			PlanRegs: int64(plan.NumRegs()),
-		})
+		}})
 	}
 
 	regs := plan.AcquireRegs()
@@ -132,7 +132,7 @@ func (fn *Fn[I, O]) evaluateBatch(o *Options, chk cancel.Check, inputs []I) []O 
 		batches++
 	}
 	stop()
-	rec.AddBitslice(obs.BitsliceStats{Batches: batches, Packets: int64(len(inputs))})
+	rec.Add(obs.Snapshot{Bitslice: obs.BitsliceStats{Batches: batches, Packets: int64(len(inputs))}})
 	return out
 }
 
@@ -157,7 +157,7 @@ func EvaluateBatchRaw(ctx context.Context, q Queryable, envs []RawModel, opts ..
 	plan, compiled, perr := planFor(root, args)
 	stop()
 	if perr != nil {
-		rec.AddBitslice(obs.BitsliceStats{Fallbacks: 1, Packets: int64(len(envs))})
+		rec.Add(obs.Snapshot{Bitslice: obs.BitsliceStats{Fallbacks: 1, Packets: int64(len(envs))}})
 		defer rec.Phase("interp")()
 		for i, env := range envs {
 			ienv := make(interp.Env, len(env))
@@ -169,11 +169,11 @@ func EvaluateBatchRaw(ctx context.Context, q Queryable, envs []RawModel, opts ..
 		return out, nil
 	}
 	if compiled {
-		rec.AddBitslice(obs.BitsliceStats{
+		rec.Add(obs.Snapshot{Bitslice: obs.BitsliceStats{
 			Plans:    1,
 			PlanOps:  int64(plan.NumOps()),
 			PlanRegs: int64(plan.NumRegs()),
-		})
+		}})
 	}
 
 	regs := plan.AcquireRegs()
@@ -201,6 +201,6 @@ func EvaluateBatchRaw(ctx context.Context, q Queryable, envs []RawModel, opts ..
 		batches++
 	}
 	stop()
-	rec.AddBitslice(obs.BitsliceStats{Batches: batches, Packets: int64(len(envs))})
+	rec.Add(obs.Snapshot{Bitslice: obs.BitsliceStats{Batches: batches, Packets: int64(len(envs))}})
 	return out, nil
 }

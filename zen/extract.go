@@ -93,11 +93,11 @@ func compileProgram(o Options, node *coreNode, vars ...*coreNode) *compilejit.Pr
 	stop := rec.Phase("compile")
 	prog := compilejit.Compile(node, vars...)
 	stop()
-	rec.AddCompile(obs.CompileStats{
+	rec.Add(obs.Snapshot{Compile: obs.CompileStats{
 		Compiles:     1,
 		Instructions: int64(prog.NumInstrs()),
 		Registers:    int64(prog.NumRegs()),
-	})
+	}})
 	return prog
 }
 

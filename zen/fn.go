@@ -51,7 +51,7 @@ func (b Backend) String() string {
 type Options struct {
 	// Backend is the solver used (default BDD).
 	Backend Backend
-	// ListBound bounds the length of symbolic lists (default 3), like the
+	// ListBound bounds the length of symbolic lists (DefaultListBound), like the
 	// maximum-list-length parameter of the paper's Find.
 	ListBound int
 	// Stats, when non-nil, accumulates per-analysis telemetry: phase
@@ -81,6 +81,10 @@ func WithBackend(b Backend) Option { return func(o *Options) { o.Backend = b } }
 
 // WithListBound bounds symbolic list lengths.
 func WithListBound(k int) Option { return func(o *Options) { o.ListBound = k } }
+
+// DefaultListBound is the symbolic list length bound of an analysis that
+// sets no WithListBound.
+const DefaultListBound = 3
 
 // WithPortfolio selects the Portfolio backend: the analysis races BDD
 // against a clause-sharing pool of diversified SAT workers, answers with
@@ -145,7 +149,7 @@ func armInterrupt(alg any, chk cancel.Check) {
 }
 
 func buildOptions(opts []Option) Options {
-	o := Options{Backend: BDD, ListBound: 3}
+	o := Options{Backend: BDD, ListBound: DefaultListBound}
 	for _, f := range opts {
 		f(&o)
 	}
@@ -154,7 +158,7 @@ func buildOptions(opts []Option) Options {
 
 // buildOptionsFrom folds defaults, then base options, then call options.
 func buildOptionsFrom(base, call []Option) Options {
-	o := Options{Backend: BDD, ListBound: 3}
+	o := Options{Backend: BDD, ListBound: DefaultListBound}
 	for _, f := range base {
 		f(&o)
 	}

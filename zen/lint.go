@@ -61,7 +61,7 @@ func lintDAG(rec *obs.Rec, root *core.Node, arg *core.Node, more ...*core.Node) 
 		}
 		return diags[i].Code < diags[j].Code
 	})
-	rec.AddLint(obs.LintStats{Models: 1, Findings: int64(len(diags))})
+	rec.Add(obs.Snapshot{Lint: obs.LintStats{Models: 1, Findings: int64(len(diags))}})
 	return diags
 }
 

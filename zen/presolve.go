@@ -37,7 +37,7 @@ func (o *Options) presolve(cond *core.Node, rec *obs.Rec) *core.Node {
 		res := absint.Simplify(build, cond)
 		stop()
 		cond = res.Root
-		rec.AddAbsint(obs.AbsintStats{
+		rec.Add(obs.Snapshot{Absint: obs.AbsintStats{
 			Presolves:       1,
 			NodesBefore:     int64(res.Stats.NodesBefore),
 			NodesAfter:      int64(res.Stats.NodesAfter),
@@ -45,7 +45,7 @@ func (o *Options) presolve(cond *core.Node, rec *obs.Rec) *core.Node {
 			ComparesDecided: int64(res.Stats.ComparesDecided),
 			BranchesPruned:  int64(res.Stats.BranchesPruned),
 			SlicedInputs:    int64(res.Stats.SlicedInputs),
-		})
+		}})
 	}
 	if o.Backend == Auto {
 		choice, reason := absint.Predict(cond, o.ListBound)
@@ -59,7 +59,7 @@ func (o *Options) presolve(cond *core.Node, rec *obs.Rec) *core.Node {
 		}
 		rec.SetAttr("auto_backend", o.Backend.String())
 		rec.SetAttr("auto_reason", reason)
-		rec.AddAbsint(obs.AbsintStats{AutoPicks: map[string]int64{o.Backend.String(): 1}})
+		rec.Add(obs.Snapshot{Absint: obs.AbsintStats{AutoPicks: map[string]int64{o.Backend.String(): 1}}})
 	}
 	return cond
 }
