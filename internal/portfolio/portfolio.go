@@ -22,7 +22,10 @@
 //
 // The winner stays alive as a Session: FindAll enumeration and
 // NextModel sweeps keep re-solving on the winning solver under blocking
-// constraints, reusing its learned clauses instead of restarting.
+// constraints, reusing its learned clauses instead of restarting. Solo
+// opens the same Session on one strategy in the caller's goroutine, so
+// the single backends are a race of one and every query in package zen
+// runs the same encode, solve, decode and block steps.
 package portfolio
 
 import (
@@ -84,25 +87,51 @@ func (c Config) workers() int {
 	return n
 }
 
-// Session is the outcome of a race, pinned to the winning strategy.
-// After a Sat verdict, Next keeps enumerating distinct models on the
-// winner's live solver state. Sessions are not safe for concurrent use.
+// Session is one query's live solver state: the first verdict and the
+// strategy that reached it. After a Sat verdict, Next keeps enumerating
+// distinct models on that strategy's solver. A session comes from a
+// race (Run) or from a race of one (Solo). Sessions are not safe for
+// concurrent use.
 type Session struct {
 	found   bool
 	models  map[int32]*interp.Value
-	next    func(chk cancel.Check) bool
-	report  func(*obs.Rec)
-	winner  string
+	live    live
+	timed   bool // a race of one times its re-encodes and re-solves too
 	outcome obs.PortfolioStats
 }
 
-// Found reports the race verdict: true when a model exists.
+// live is the strategy a session keeps solving on (a *strategy[B]).
+type live interface {
+	label() string
+	decode() map[int32]*interp.Value
+	next(prev map[int32]*interp.Value, chk cancel.Check, rec *obs.Rec) bool
+	report(*obs.Rec)
+}
+
+// open is the tail every session shares once its first verdict is in:
+// count the solve and decode the first model.
+func open(l live, found bool, rec *obs.Rec) *Session {
+	rec.CountSolve(found)
+	s := &Session{found: found, live: l}
+	if found {
+		s.decode(rec)
+	}
+	return s
+}
+
+func (s *Session) decode(rec *obs.Rec) {
+	stop := rec.Phase("decode")
+	s.models = s.live.decode()
+	stop()
+}
+
+// Found reports the first verdict: true when a model exists.
 func (s *Session) Found() bool { return s.found }
 
-// Winner names the strategy that answered first ("bdd" or "sat").
-func (s *Session) Winner() string { return s.winner }
+// Winner names the strategy that answered ("bdd" or "sat").
+func (s *Session) Winner() string { return s.live.label() }
 
-// Outcome returns the race telemetry.
+// Outcome returns the race telemetry (zero for a race of one).
 func (s *Session) Outcome() obs.PortfolioStats { return s.outcome }
 
 // Model returns the decoded value of one declared input in the current
@@ -117,26 +146,35 @@ func (s *Session) Model(id int32) *interp.Value {
 // Models returns the full current model keyed by input ID.
 func (s *Session) Models() map[int32]*interp.Value { return s.models }
 
-// Next re-solves on the winning strategy under a blocking constraint
+// Next re-solves on the session's strategy under a blocking constraint
 // ("some input differs from the current model"), replacing the model
 // read by Model. Learned clauses persist across calls, so enumerating k
-// models is strictly cheaper than k independent races. The solve is
-// counted into rec (which may differ from the race's record: NextModel
-// opens a fresh one per call). Cancellation unwinds with cancel.Abort
-// like any solver call; trap it at the API boundary.
+// models is strictly cheaper than k independent solves. The solve is
+// counted into rec (which may differ from the first verdict's record:
+// NextModel opens a fresh one per call). The blocking constraint is
+// built here, never ahead of time, so a caller that stops after the
+// models it wants pays for no block beyond them. Cancellation unwinds
+// with cancel.Abort like any solver call; trap it at the API boundary.
 func (s *Session) Next(chk cancel.Check, rec *obs.Rec) bool {
 	if !s.found {
 		return false
 	}
-	ok := s.next(chk)
+	timed := rec
+	if !s.timed {
+		timed = nil
+	}
+	ok := s.live.next(s.models, chk, timed)
 	rec.CountSolve(ok)
+	if ok {
+		s.decode(rec)
+	}
 	return ok
 }
 
-// Report harvests the winning backend's counters into the record. The
-// counters are cumulative since the race began, so report once per
-// record (matching how the single-backend paths report).
-func (s *Session) Report(rec *obs.Rec) { s.report(rec) }
+// Report harvests the strategy's backend counters into the record. The
+// counters are cumulative since the session began, so report once per
+// record.
+func (s *Session) Report(rec *obs.Rec) { s.live.report(rec) }
 
 // ErrNoStrategy is returned when every strategy exited without a verdict
 // and without a recorded cause (it indicates a portfolio bug; callers
@@ -152,14 +190,11 @@ type state struct {
 	claimed atomic.Int64 // UnixNano of the winning claim
 }
 
-// result is the winner's continuation, built in its goroutine and
-// consumed on the caller's after the race settles.
+// result is the winner's verdict and live strategy, built in its
+// goroutine and consumed on the caller's after the race settles.
 type result struct {
-	strategy string
-	found    bool
-	decode   func() map[int32]*interp.Value
-	next     func(prev map[int32]*interp.Value, chk cancel.Check) (map[int32]*interp.Value, bool)
-	report   func(*obs.Rec)
+	found bool
+	live  live
 }
 
 func (st *state) claim(idx int32, r *result) bool {
@@ -211,80 +246,89 @@ func Run(q Query, cfg Config, rec *obs.Rec) (*Session, error) {
 		}
 		return nil, err
 	}
-	outcome.WinsBy = map[string]int64{st.res.strategy: 1}
+	outcome.WinsBy = map[string]int64{st.res.live.label(): 1}
 	outcome.LoserAborts = started - 1
 	if t := st.claimed.Load(); t > 0 {
 		outcome.LoserAbortNs = time.Now().UnixNano() - t
 	}
 	rec.Add(obs.Snapshot{Portfolio: outcome})
-	rec.CountSolve(st.res.found)
-
-	sess := &Session{
-		found:   st.res.found,
-		winner:  st.res.strategy,
-		outcome: outcome,
-		report:  st.res.report,
-	}
-	if st.res.found {
-		stop := rec.Phase("decode")
-		sess.models = st.res.decode()
-		stop()
-		res := st.res
-		sess.next = func(chk cancel.Check) bool {
-			models, ok := res.next(sess.models, chk)
-			if ok {
-				sess.models = models
-			}
-			return ok
-		}
-	}
+	sess := open(st.res.live, st.res.found, rec)
+	sess.outcome = outcome
 	return sess, nil
 }
 
-// encode allocates the query's inputs in the algebra and evaluates the
-// condition symbolically.
-func encode[B comparable](alg sym.Algebra[B], q Query, chk cancel.Check) (map[int32]*sym.Input[B], B) {
-	env := sym.Env[B]{}
-	inputs := make(map[int32]*sym.Input[B], len(q.Vars))
+// Solo runs one strategy on the query in the caller's goroutine: a race
+// of one, with no goroutines and no stop flag. It times the encode as
+// the "symeval" phase and every solve as "solve"; chk is polled inside
+// the solver, whose cancel.Abort unwinds to the caller.
+func Solo[B comparable](name string, alg sym.Solver[B], q Query, chk cancel.Check, rec *obs.Rec) *Session {
+	stop := rec.Phase("symeval")
+	s := encode(name, alg, q, chk)
+	stop()
+	sess := open(s, s.solve(rec), rec)
+	sess.timed = true
+	return sess
+}
+
+// strategy is one solver with the query encoded into it.
+type strategy[B comparable] struct {
+	name   string
+	alg    sym.Solver[B]
+	vars   []VarSpec
+	inputs map[int32]*sym.Input[B]
+	cur    B // the query conjoined with one block per model enumerated
+}
+
+// encode allocates the query's inputs in alg, in declaration order, and
+// evaluates the condition symbolically.
+func encode[B comparable](name string, alg sym.Solver[B], q Query, chk cancel.Check) *strategy[B] {
+	armInterrupt(alg, chk)
+	s := &strategy[B]{name: name, alg: alg, vars: q.Vars, inputs: make(map[int32]*sym.Input[B], len(q.Vars))}
+	env := make(sym.Env[B], len(q.Vars))
 	for _, v := range q.Vars {
 		in := sym.Fresh(alg, v.Type, v.Bound, v.Name)
 		env[v.ID] = in.Val
-		inputs[v.ID] = in
+		s.inputs[v.ID] = in
 	}
-	out := sym.EvalCheck(alg, q.Cond, env, chk)
-	return inputs, out.Bit
+	s.cur = sym.EvalCheck(alg, q.Cond, env, chk).Bit
+	return s
 }
 
-// finishRace is the shared tail of every strategy: solve, claim on a
-// definitive verdict, and package the winner's continuation. The
-// constraint is captured by reference so Next conjoins blocking clauses
-// incrementally on the live solver.
-func finishRace[B comparable](idx int32, strategy string, alg sym.Solver[B], inputs map[int32]*sym.Input[B], constraint B, st *state, chk cancel.Check) {
-	ok := alg.Solve(constraint)
-	cur := constraint
-	st.claim(idx, &result{
-		strategy: strategy,
-		found:    ok,
-		decode: func() map[int32]*interp.Value {
-			return sym.DecodeModel(inputs, alg.BitValue)
-		},
-		next: func(prev map[int32]*interp.Value, chk cancel.Check) (map[int32]*interp.Value, bool) {
-			armInterrupt(alg, chk)
-			differs := falseOf(alg)
-			for id, in := range inputs {
-				differs = alg.Or(differs, sym.BlockModel(alg, in.Val, prev[id]))
-			}
-			cur = alg.And(cur, differs)
-			if !alg.Solve(cur) {
-				return nil, false
-			}
-			return sym.DecodeModel(inputs, alg.BitValue), true
-		},
-		report: func(rec *obs.Rec) { rec.ReportBackend(alg) },
-	})
+// solve runs the solver on the current constraint, timed into rec (nil
+// inside a race, where only the race as a whole is timed).
+func (s *strategy[B]) solve(rec *obs.Rec) bool {
+	stop := rec.Phase("solve")
+	defer stop()
+	return s.alg.Solve(s.cur)
 }
 
-func falseOf[B comparable](alg sym.Algebra[B]) B { return alg.False() }
+func (s *strategy[B]) label() string { return s.name }
+
+func (s *strategy[B]) decode() map[int32]*interp.Value {
+	return sym.DecodeModel(s.inputs, s.alg.BitValue)
+}
+
+// next conjoins "some input differs from prev" onto the live constraint,
+// timed as "symeval", and re-solves incrementally on the same solver.
+func (s *strategy[B]) next(prev map[int32]*interp.Value, chk cancel.Check, rec *obs.Rec) bool {
+	armInterrupt(s.alg, chk)
+	stop := rec.Phase("symeval")
+	differs := s.alg.False()
+	for _, v := range s.vars {
+		differs = s.alg.Or(differs, sym.BlockModel(s.alg, s.inputs[v.ID].Val, prev[v.ID]))
+	}
+	s.cur = s.alg.And(s.cur, differs)
+	stop()
+	return s.solve(rec)
+}
+
+func (s *strategy[B]) report(rec *obs.Rec) { rec.ReportBackend(s.alg) }
+
+// race solves a strategy inside a race and claims on a verdict.
+func race[B comparable](idx int32, s *strategy[B], st *state) {
+	found := s.solve(nil)
+	st.claim(idx, &result{found: found, live: s})
+}
 
 func armInterrupt(alg any, chk cancel.Check) {
 	if i, ok := alg.(backends.Interruptible); ok {
@@ -308,10 +352,7 @@ func lost(st *state) {
 func runBDD(q Query, st *state, chk cancel.Check, wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer lost(st)
-	alg := backends.NewBDD()
-	armInterrupt(alg, chk)
-	inputs, constraint := encode[bdd.Ref](alg, q, chk)
-	finishRace[bdd.Ref](0, "bdd", alg, inputs, constraint, st, chk)
+	race(0, encode[bdd.Ref]("bdd", backends.NewBDD(), q, chk), st)
 }
 
 // runSATPool is the SAT strategy: encode once, clone the solver per
@@ -321,8 +362,7 @@ func runSATPool(q Query, st *state, chk cancel.Check, n int, mu *sync.Mutex, sol
 	defer lost(st)
 
 	base := backends.NewSAT()
-	armInterrupt(base, chk)
-	inputs, constraint := encode[sat.Lit](base, q, chk)
+	enc := encode[sat.Lit]("sat", base, q, chk)
 
 	// Clone every worker before any of them starts solving: Clone reads
 	// the base solver's state, which worker 0 mutates once racing.
@@ -345,11 +385,13 @@ func runSATPool(q Query, st *state, chk cancel.Check, n int, mu *sync.Mutex, sol
 	var inner sync.WaitGroup
 	for w := 0; w < n; w++ {
 		inner.Add(1)
-		go func(w int, alg *backends.SAT) {
+		s := *enc
+		s.alg = base.WithSolver(workers[w])
+		go func(w int, s *strategy[sat.Lit]) {
 			defer inner.Done()
 			defer lost(st)
-			finishRace[sat.Lit](1+int32(w), "sat", alg, inputs, constraint, st, chk)
-		}(w, base.WithSolver(workers[w]))
+			race(1+int32(w), s, st)
+		}(w, &s)
 	}
 	inner.Wait()
 

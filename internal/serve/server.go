@@ -275,7 +275,7 @@ func (s *Server) Do(ctx context.Context, req *Request) *Response {
 			root.SetAttr("request_id", id)
 		}
 	}
-	res := s.do(ctx, req, root)
+	res, lk := s.do(ctx, req, root)
 	elapsed := time.Since(start)
 	res.APIVersion = APIVersion
 	res.ElapsedMS = float64(elapsed.Microseconds()) / 1000
@@ -293,7 +293,7 @@ func (s *Server) Do(ctx context.Context, req *Request) *Response {
 	}
 	s.observeLatency(req, res, elapsed)
 	s.slow.maybeLog(id, req, res, elapsed)
-	s.publish(res)
+	s.publish(res, lk)
 	return res
 }
 
@@ -326,13 +326,27 @@ func (s *Server) observeLatency(req *Request, res *Response, d time.Duration) {
 	s.latVec.With(model, normBackend(req.Backend), res.Status).Observe(d)
 }
 
-func (s *Server) do(ctx context.Context, req *Request, span *obs.TreeSpan) *Response {
+// lookup is how far a query got through the answer cache tiers. do
+// counts each tier into the server's counters and returns the lookup,
+// and publish mirrors it into the global aggregate, so both keep the
+// same tally.
+type lookup uint8
+
+const (
+	lookupNone     lookup = iota // never reached the cache (invalid, draining, evaluate)
+	lookupHit                    // LRU hit
+	lookupSnapshot               // LRU miss answered by the persisted snapshot
+	lookupSubsumed               // LRU miss answered by the subsumption index
+	lookupMiss                   // LRU miss sent to the solver (or shed/cancelled on the way)
+)
+
+func (s *Server) do(ctx context.Context, req *Request, span *obs.TreeSpan) (*Response, lookup) {
 	if s.draining.Load() {
-		return failResponse(http.StatusServiceUnavailable, ErrDraining, "server is shutting down")
+		return failResponse(http.StatusServiceUnavailable, ErrDraining, "server is shutting down"), lookupNone
 	}
 	q, resErr := s.prepare(req)
 	if resErr != nil {
-		return resErr
+		return resErr, lookupNone
 	}
 	q.span = span
 	ctx, cancelFn := q.bound(ctx, s.cfg)
@@ -342,7 +356,7 @@ func (s *Server) do(ctx context.Context, req *Request, span *obs.TreeSpan) *Resp
 		// Interpreter-speed, concrete-input queries: pooled for fairness
 		// but neither cached nor coalesced (their identity lives in the
 		// argument values, not in a predicate DAG).
-		return s.runPooled(ctx, q)
+		return s.runPooled(ctx, q), lookupNone
 	}
 	if res, ok := s.cache.get(q.key); ok {
 		s.cacheHits.Add(1)
@@ -354,7 +368,7 @@ func (s *Server) do(ctx context.Context, req *Request, span *obs.TreeSpan) *Resp
 			hit.Provenance = ProvCached
 		}
 		hit.fingerprint = q.fp
-		return &hit
+		return &hit, lookupHit
 	}
 	s.cacheMiss.Add(1)
 	// The LRU missed; before paying for a solve, try the two cheaper
@@ -364,14 +378,14 @@ func (s *Server) do(ctx context.Context, req *Request, span *obs.TreeSpan) *Resp
 		s.snapHits.Add(1)
 		hit.fingerprint = q.fp
 		s.cache.put(q.key, hit)
-		return hit
+		return hit, lookupSnapshot
 	}
 	if s.cfg.CacheSize > 0 {
 		if hit, ok := s.subsume.lookup(q.subKey(), q.args, q.cond, q.key.kind); ok {
 			s.subsumed.Add(1)
 			hit.fingerprint = q.fp
 			s.cache.put(q.key, hit)
-			return hit
+			return hit, lookupSubsumed
 		}
 	}
 	res, coalesced, shedded, err := s.flight.do(ctx, q.key, func(execCtx context.Context, deliver func(*Response)) bool {
@@ -390,19 +404,19 @@ func (s *Server) do(ctx context.Context, req *Request, span *obs.TreeSpan) *Resp
 		})
 	})
 	if shedded {
-		return failResponse(http.StatusTooManyRequests, ErrQueueFull, "queue full")
+		return failResponse(http.StatusTooManyRequests, ErrQueueFull, "queue full"), lookupMiss
 	}
 	if err != nil {
 		// This request stopped waiting; the execution may still finish for
 		// other waiters (or was cancelled if this was the last one).
-		return failResponse(0, ErrCancelled, "%v", err)
+		return failResponse(0, ErrCancelled, "%v", err), lookupMiss
 	}
 	out := *res
 	if coalesced {
 		out.Provenance = ProvCoalesced
 	}
 	out.fingerprint = q.fp
-	return &out
+	return &out, lookupMiss
 }
 
 // query is a parsed, compiled request.
@@ -442,8 +456,7 @@ func (q *query) bound(ctx context.Context, cfg Config) (context.Context, context
 // query; the second return is a ready error response when it is invalid.
 func (s *Server) prepare(req *Request) (*query, *Response) {
 	fail := func(status int, code, format string, args ...any) (*query, *Response) {
-		s.errors.Add(1)
-		return nil, failResponse(status, code, format, args...)
+		return nil, failResponse(status, code, format, args...) // counted by publish
 	}
 	var m zen.Queryable
 	var gen uint64
@@ -647,8 +660,9 @@ func argName(i, n int) string {
 
 // publish folds one finished request into the server counters and the
 // process-wide telemetry aggregate, so /debug/zenstats and expvar show
-// service activity next to solver activity.
-func (s *Server) publish(res *Response) {
+// service activity next to solver activity. The cache tiers are counted
+// in do; lk mirrors that tally into the aggregate.
+func (s *Server) publish(res *Response, lk lookup) {
 	var d obs.ServeStats
 	switch res.Status {
 	case "shed", "draining":
@@ -666,20 +680,15 @@ func (s *Server) publish(res *Response) {
 		s.queries.Add(1)
 		d.Queries = 1
 	}
-	switch res.Provenance {
-	case ProvCached:
+	switch lk {
+	case lookupHit:
 		d.CacheHits = 1
-		if res.FromSnapshot {
-			d.SnapshotHits = 1
-		}
-	case ProvSubsumed:
-		d.Subsumed = 1
-	default:
-		if res.Status != "shed" && res.Status != "draining" && res.Status != "error" {
-			// The miss counter tracked at lookup time covers flight followers
-			// too; here we only mirror into the global aggregate.
-			d.CacheMisses = 1
-		}
+	case lookupSnapshot:
+		d.CacheMisses, d.SnapshotHits = 1, 1
+	case lookupSubsumed:
+		d.CacheMisses, d.Subsumed = 1, 1
+	case lookupMiss:
+		d.CacheMisses = 1
 	}
 	if res.Coalesced() {
 		s.coalesced.Add(1)

@@ -2,7 +2,8 @@
 // scripts/serve_smoke.sh (and `make serve-smoke`): it starts a zend
 // binary on a random port, exercises the service surface — model
 // listing, a cold query, a cached repeat, a deadline-expired query, a
-// batch, instance creation, a /v1/update delta, the lint endpoint — and
+// batch, instance creation, a /v1/update delta, error accounting for a
+// failed query, the lint endpoint — and
 // asserts a clean SIGTERM drain plus a snapshot-warm restart.
 package main
 
@@ -84,6 +85,18 @@ func main() {
 	expect("update re-answers tracked queries", code, body, `"provenance": "delta"`)
 	code, body = post("/v1/query", q80)
 	expect("tracked query flipped by the delta", code, body, `"verdict": "unsat"`)
+
+	// Error accounting: one failed query moves the errors counter by
+	// exactly one.
+	errorsBefore := statsErrors()
+	code, body = post("/v1/query", `{"model":"no/such-model","kind":"find","predicate":{"ref":"out"}}`)
+	if code != http.StatusNotFound || !strings.Contains(body, `"unknown_model"`) {
+		fatal("unknown model query: HTTP %d, want 404 with unknown_model:\n%s", code, body)
+	}
+	if moved := statsErrors() - errorsBefore; moved != 1 {
+		fatal("one failed query moved /v1/stats errors by %d, want 1", moved)
+	}
+	fmt.Println("ok: a failed query counts one error")
 
 	code, body = get("/v1/lint?model=demo/add8")
 	expect("lint endpoint", code, body, `"findings"`)
@@ -167,6 +180,18 @@ func stop(cmd *exec.Cmd) {
 	case <-time.After(15 * time.Second):
 		fatal("zend did not exit within 15s of SIGTERM")
 	}
+}
+
+// statsErrors reads the errors counter from /v1/stats.
+func statsErrors() int64 {
+	code, body := get("/v1/stats")
+	var stats struct {
+		Errors *int64 `json:"errors"`
+	}
+	if err := json.Unmarshal([]byte(body), &stats); code != http.StatusOK || err != nil || stats.Errors == nil {
+		fatal("/v1/stats errors: HTTP %d, %v:\n%s", code, err, body)
+	}
+	return *stats.Errors
 }
 
 func get(path string) (int, string) {

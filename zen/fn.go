@@ -4,13 +4,10 @@ import (
 	"context"
 	"reflect"
 
-	"zen-go/internal/backends"
 	"zen-go/internal/cancel"
 	"zen-go/internal/core"
 	"zen-go/internal/interp"
 	"zen-go/internal/obs"
-	"zen-go/internal/portfolio"
-	"zen-go/internal/sym"
 )
 
 // Backend selects the solver used for symbolic analyses.
@@ -137,14 +134,6 @@ func (e *CancelledError) Unwrap() error { return e.Err }
 func mustNotCancel(err error) {
 	if err != nil {
 		panic(&CancelledError{Err: err})
-	}
-}
-
-// armInterrupt arms a cancellation check on backends that support it
-// (both solver backends do).
-func armInterrupt(alg any, chk cancel.Check) {
-	if i, ok := alg.(backends.Interruptible); ok {
-		i.SetInterrupt(chk)
 	}
 }
 
@@ -287,45 +276,16 @@ func (fn *Fn[I, O]) FindCtx(ctx context.Context, pred func(Value[I], Value[O]) V
 }
 
 func (fn *Fn[I, O]) findErr(pred func(Value[I], Value[O]) Value[bool], o Options) (w I, found bool, err error) {
-	defer cancel.Trap(&err)
-	chk := o.check()
-	chk.Point()
-	rec := o.begin("find")
-	defer rec.End()
-	stop := rec.Phase("build")
-	cond := pred(fn.arg, fn.out)
-	stop()
-	o.measureDAG(rec, cond.n)
-	cn := o.presolve(cond.n, rec)
-	switch o.Backend {
-	case Portfolio:
-		sess, perr := portfolio.Run(portfolio.Query{Cond: cn, Vars: portfolioVar[I](fn.arg.n.VarID, o.ListBound)}, o.portfolioCfg(chk), rec)
-		if perr != nil {
-			return w, false, perr
-		}
-		sess.Report(rec)
-		if !sess.Found() {
-			return w, false, nil
-		}
-		rt := reflect.TypeOf((*I)(nil)).Elem()
-		return toGo(sess.Model(fn.arg.n.VarID), rt).Interface().(I), true, nil
-	case SAT:
-		w, found = findWith[I](backends.NewSAT(), cn, fn.arg.n.VarID, o.ListBound, chk, rec)
-	default:
-		w, found = findWith[I](backends.NewBDD(), cn, fn.arg.n.VarID, o.ListBound, chk, rec)
-	}
-	return w, found, nil
+	err = o.query("find", fn.cond(pred), fn.QueryArgs(), 1, func(m RawModel) {
+		w, found = goValue[I](m[fn.arg.n.VarID]), true
+	})
+	return w, found, err
 }
 
-// portfolioCfg builds the portfolio configuration for these options.
-func (o *Options) portfolioCfg(chk cancel.Check) portfolio.Config {
-	return portfolio.Config{SATWorkers: o.PortfolioWorkers, Check: chk}
-}
-
-// portfolioVar describes a function's single symbolic input for the
-// portfolio layer.
-func portfolioVar[I any](varID int32, bound int) []portfolio.VarSpec {
-	return []portfolio.VarSpec{{ID: varID, Type: TypeOf[I](), Bound: bound, Name: "in"}}
+// cond applies a predicate to the function's symbolic argument and
+// result, as a query condition.
+func (fn *Fn[I, O]) cond(pred func(Value[I], Value[O]) Value[bool]) func(*obs.Rec) *core.Node {
+	return built(func() Value[bool] { return pred(fn.arg, fn.out) })
 }
 
 // Verify checks that property(input, output) holds for every input. It
@@ -349,28 +309,6 @@ func (fn *Fn[I, O]) VerifyCtx(ctx context.Context, property func(Value[I], Value
 	return !found && err == nil, cex, err
 }
 
-func findWith[I any, B comparable](alg sym.Solver[B], cond *core.Node, varID int32, bound int, chk cancel.Check, rec *obs.Rec) (I, bool) {
-	var zero I
-	armInterrupt(alg, chk)
-	stop := rec.Phase("symeval")
-	in := sym.Fresh(alg, TypeOf[I](), bound, "in")
-	out := sym.EvalCheck(alg, cond, sym.Env[B]{varID: in.Val}, chk)
-	stop()
-	stop = rec.Phase("solve")
-	ok := alg.Solve(out.Bit)
-	stop()
-	rec.CountSolve(ok)
-	rec.ReportBackend(alg)
-	if !ok {
-		return zero, false
-	}
-	stop = rec.Phase("decode")
-	defer stop()
-	iv := in.Decode(alg.BitValue)
-	rt := reflect.TypeOf((*I)(nil)).Elem()
-	return toGo(iv, rt).Interface().(I), true
-}
-
 // FindAll invokes yield for successive distinct witnesses of pred, up to
 // max (or until exhausted). It re-solves with blocking constraints, like
 // repeated Find calls in the paper's API. Like Find, it panics with
@@ -391,81 +329,10 @@ func (fn *Fn[I, O]) FindAllCtx(ctx context.Context, pred func(Value[I], Value[O]
 }
 
 func (fn *Fn[I, O]) findAllErr(pred func(Value[I], Value[O]) Value[bool], max int, o Options) (ws []I, err error) {
-	defer cancel.Trap(&err)
-	chk := o.check()
-	chk.Point()
-	rec := o.begin("findall")
-	defer rec.End()
-	stop := rec.Phase("build")
-	cond := pred(fn.arg, fn.out)
-	stop()
-	o.measureDAG(rec, cond.n)
-	cn := o.presolve(cond.n, rec)
-	// The partial result survives cancellation: findAllWith appends into
-	// *ws, so witnesses found before the abort are returned with the error.
-	switch o.Backend {
-	case Portfolio:
-		if perr := findAllPortfolio[I](cn, fn.arg.n.VarID, o, max, chk, rec, &ws); perr != nil {
-			return ws, perr
-		}
-	case SAT:
-		findAllWith(backends.NewSAT(), cn, fn.arg.n.VarID, o.ListBound, max, chk, rec, &ws)
-	default:
-		findAllWith(backends.NewBDD(), cn, fn.arg.n.VarID, o.ListBound, max, chk, rec, &ws)
-	}
-	return ws, nil
-}
-
-// findAllPortfolio enumerates witnesses on a portfolio session: one race
-// decides the first model, then enumeration continues incrementally on
-// the winning strategy (the SAT winner keeps its learned clauses, so k
-// models cost strictly less than k independent races).
-func findAllPortfolio[I any](cond *core.Node, varID int32, o Options, max int, chk cancel.Check, rec *obs.Rec, results *[]I) error {
-	if max <= 0 {
-		return nil
-	}
-	sess, err := portfolio.Run(portfolio.Query{Cond: cond, Vars: portfolioVar[I](varID, o.ListBound)}, o.portfolioCfg(chk), rec)
-	if err != nil {
-		return err
-	}
-	rt := reflect.TypeOf((*I)(nil)).Elem()
-	for ok := sess.Found(); ok && len(*results) < max; ok = sess.Next(chk, rec) {
-		*results = append(*results, toGo(sess.Model(varID), rt).Interface().(I))
-	}
-	sess.Report(rec)
-	rec.Event("models", len(*results))
-	return nil
-}
-
-func findAllWith[I any, B comparable](alg sym.Solver[B], cond *core.Node, varID int32, bound, max int, chk cancel.Check, rec *obs.Rec, results *[]I) {
-	armInterrupt(alg, chk)
-	stop := rec.Phase("symeval")
-	in := sym.Fresh(alg, TypeOf[I](), bound, "in")
-	out := sym.EvalCheck(alg, cond, sym.Env[B]{varID: in.Val}, chk)
-	stop()
-	rt := reflect.TypeOf((*I)(nil)).Elem()
-	constraint := out.Bit
-	for len(*results) < max {
-		stop = rec.Phase("solve")
-		ok := alg.Solve(constraint)
-		stop()
-		rec.CountSolve(ok)
-		if !ok {
-			break
-		}
-		stop = rec.Phase("decode")
-		iv := in.Decode(alg.BitValue)
-		*results = append(*results, toGo(iv, rt).Interface().(I))
-		// Block this model: the input must differ somewhere.
-		blocked := blockModel(alg, in.Val, iv)
-		constraint = alg.And(constraint, blocked)
-		stop()
-	}
-	rec.ReportBackend(alg)
-	rec.Event("models", len(*results))
-}
-
-// blockModel returns the constraint "input != model".
-func blockModel[B comparable](alg sym.Algebra[B], v *sym.Val[B], model *interp.Value) B {
-	return sym.BlockModel(alg, v, model)
+	// The partial result survives cancellation: yield appends into ws,
+	// so witnesses found before the abort are returned with the error.
+	err = o.query("findall", fn.cond(pred), fn.QueryArgs(), max, func(m RawModel) {
+		ws = append(ws, goValue[I](m[fn.arg.n.VarID]))
+	})
+	return ws, err
 }

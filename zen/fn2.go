@@ -4,12 +4,7 @@ import (
 	"context"
 	"reflect"
 
-	"zen-go/internal/backends"
-	"zen-go/internal/cancel"
 	"zen-go/internal/interp"
-	"zen-go/internal/obs"
-	"zen-go/internal/portfolio"
-	"zen-go/internal/sym"
 )
 
 // Fn2 is a two-argument Zen function, for relational models and properties
@@ -61,40 +56,11 @@ func (fn *Fn2[A, B, O]) FindCtx(ctx context.Context, pred func(Value[A], Value[B
 }
 
 func (fn *Fn2[A, B, O]) findErr(pred func(Value[A], Value[B], Value[O]) Value[bool], o Options) (a A, b B, found bool, err error) {
-	defer cancel.Trap(&err)
-	chk := o.check()
-	chk.Point()
-	rec := o.begin("find2")
-	defer rec.End()
-	stop := rec.Phase("build")
-	cond := pred(fn.argA, fn.argB, fn.out)
-	stop()
-	o.measureDAG(rec, cond.n)
-	cn := o.presolve(cond.n, rec)
-	switch o.Backend {
-	case Portfolio:
-		vars := []portfolio.VarSpec{
-			{ID: fn.argA.n.VarID, Type: TypeOf[A](), Bound: o.ListBound, Name: "a"},
-			{ID: fn.argB.n.VarID, Type: TypeOf[B](), Bound: o.ListBound, Name: "b"},
-		}
-		sess, perr := portfolio.Run(portfolio.Query{Cond: cn, Vars: vars}, o.portfolioCfg(chk), rec)
-		if perr != nil {
-			return a, b, false, perr
-		}
-		sess.Report(rec)
-		if !sess.Found() {
-			return a, b, false, nil
-		}
-		rta := reflect.TypeOf((*A)(nil)).Elem()
-		rtb := reflect.TypeOf((*B)(nil)).Elem()
-		return toGo(sess.Model(fn.argA.n.VarID), rta).Interface().(A),
-			toGo(sess.Model(fn.argB.n.VarID), rtb).Interface().(B), true, nil
-	case SAT:
-		a, b, found = find2With[A, B](backends.NewSAT(), cn, fn.argA.n.VarID, fn.argB.n.VarID, o.ListBound, chk, rec)
-	default:
-		a, b, found = find2With[A, B](backends.NewBDD(), cn, fn.argA.n.VarID, fn.argB.n.VarID, o.ListBound, chk, rec)
-	}
-	return a, b, found, nil
+	cond := built(func() Value[bool] { return pred(fn.argA, fn.argB, fn.out) })
+	err = o.query("find2", cond, fn.QueryArgs(), 1, func(m RawModel) {
+		a, b, found = goValue[A](m[fn.argA.n.VarID]), goValue[B](m[fn.argB.n.VarID]), true
+	})
+	return a, b, found, err
 }
 
 // Verify checks a property over all input pairs.
@@ -113,31 +79,6 @@ func (fn *Fn2[A, B, O]) VerifyCtx(ctx context.Context, property func(Value[A], V
 		return Not(property(x, y, o))
 	}, opts...)
 	return !found && err == nil, a, b, err
-}
-
-func find2With[A, B any, Bit comparable](alg sym.Solver[Bit], cond *coreNode, idA, idB int32, bound int, chk cancel.Check, rec *obs.Rec) (A, B, bool) {
-	var zeroA A
-	var zeroB B
-	armInterrupt(alg, chk)
-	stop := rec.Phase("symeval")
-	inA := sym.Fresh(alg, TypeOf[A](), bound, "a")
-	inB := sym.Fresh(alg, TypeOf[B](), bound, "b")
-	out := sym.EvalCheck(alg, cond, sym.Env[Bit]{idA: inA.Val, idB: inB.Val}, chk)
-	stop()
-	stop = rec.Phase("solve")
-	ok := alg.Solve(out.Bit)
-	stop()
-	rec.CountSolve(ok)
-	rec.ReportBackend(alg)
-	if !ok {
-		return zeroA, zeroB, false
-	}
-	stop = rec.Phase("decode")
-	defer stop()
-	rta := reflect.TypeOf((*A)(nil)).Elem()
-	rtb := reflect.TypeOf((*B)(nil)).Elem()
-	return toGo(inA.Decode(alg.BitValue), rta).Interface().(A),
-		toGo(inB.Decode(alg.BitValue), rtb).Interface().(B), true
 }
 
 // Compile extracts an executable two-argument implementation.

@@ -2,14 +2,11 @@ package zen
 
 import (
 	"context"
-	"reflect"
 
-	"zen-go/internal/backends"
 	"zen-go/internal/cancel"
 	"zen-go/internal/core"
 	"zen-go/internal/interp"
 	"zen-go/internal/portfolio"
-	"zen-go/internal/sym"
 )
 
 // Problem is a multi-variable constraint-solving session: declare symbolic
@@ -19,14 +16,12 @@ import (
 // routing solutions. After a successful Solve, NextModel enumerates
 // further distinct models.
 type Problem struct {
-	opts  Options
-	vars  []*core.Node
-	cond  Value[bool]
-	model map[int32]*interp.Value
-	// next re-solves with a blocking constraint (NextModel) under the
-	// given cancellation check (the check of the NextModel call, not the
-	// one Solve ran under).
-	next func(chk cancel.Check) bool
+	opts Options
+	vars []*core.Node
+	cond Value[bool]
+	// sess is the session of the last successful Solve: Get reads its
+	// current model and NextModel re-solves on it.
+	sess *portfolio.Session
 }
 
 // NewProblem returns an empty problem.
@@ -63,51 +58,18 @@ func (p *Problem) SolveCtx(ctx context.Context) (bool, error) {
 func (p *Problem) solveErr(chk cancel.Check) (found bool, err error) {
 	defer cancel.Trap(&err)
 	chk.Point()
-	// Problems open their telemetry record per backend below, so the
-	// presolve pass runs unrecorded here; its effect still shows in the
-	// solver counters.
-	p.cond.n = p.opts.presolve(p.cond.n, nil)
-	switch p.opts.Backend {
-	case Portfolio:
-		return p.solvePortfolio(chk)
-	case SAT:
-		found = solveProblem(p, backends.NewSAT(), chk)
-	default:
-		found = solveProblem(p, backends.NewBDD(), chk)
-	}
-	return found, nil
-}
-
-// solvePortfolio races the backends on the problem and keeps the winning
-// session alive for NextModel enumeration.
-func (p *Problem) solvePortfolio(chk cancel.Check) (bool, error) {
-	rec := p.opts.begin("problem")
+	o := p.opts // open resolves an auto backend in its copy, per solve
+	rec := o.begin("problem")
 	defer rec.End()
-	p.opts.measureDAG(rec, p.cond.n)
-	vars := make([]portfolio.VarSpec, len(p.vars))
-	for i, v := range p.vars {
-		vars[i] = portfolio.VarSpec{ID: v.VarID, Type: v.Type, Bound: p.opts.ListBound, Name: v.Name}
-	}
-	sess, err := portfolio.Run(portfolio.Query{Cond: p.cond.n, Vars: vars}, p.opts.portfolioCfg(chk), rec)
+	sess, err := o.open(p.cond.n, p.vars, chk, rec)
 	if err != nil {
 		return false, err
 	}
 	sess.Report(rec)
-	if !sess.Found() {
-		return false, nil
+	if sess.Found() {
+		p.sess = sess
 	}
-	p.model = sess.Models()
-	p.next = func(chk cancel.Check) bool {
-		rec := p.opts.begin("nextmodel")
-		defer rec.End()
-		ok := sess.Next(chk, rec)
-		sess.Report(rec)
-		if ok {
-			p.model = sess.Models()
-		}
-		return ok
-	}
-	return true, nil
+	return sess.Found(), nil
 }
 
 // NextModel searches for a model distinct from the current one (differing
@@ -128,100 +90,40 @@ func (p *Problem) NextModelCtx(ctx context.Context) (bool, error) {
 }
 
 func (p *Problem) nextErr(chk cancel.Check) (found bool, err error) {
-	if p.next == nil {
+	if p.sess == nil {
 		panic("zen: NextModel before a successful Solve")
 	}
 	defer cancel.Trap(&err)
 	chk.Point()
-	return p.next(chk), nil
-}
-
-func solveProblem[B comparable](p *Problem, alg sym.Solver[B], chk cancel.Check) bool {
-	armInterrupt(alg, chk)
-	rec := p.opts.begin("problem")
+	rec := p.opts.begin("nextmodel")
 	defer rec.End()
-	p.opts.measureDAG(rec, p.cond.n)
-	stop := rec.Phase("symeval")
-	env := sym.Env[B]{}
-	inputs := make(map[int32]*sym.Input[B], len(p.vars))
-	for _, v := range p.vars {
-		in := sym.Fresh(alg, v.Type, p.opts.ListBound, v.Name)
-		env[v.VarID] = in.Val
-		inputs[v.VarID] = in
-	}
-	out := sym.EvalCheck(alg, p.cond.n, env, chk)
-	stop()
-	constraint := out.Bit
-	stop = rec.Phase("solve")
-	ok := alg.Solve(constraint)
-	stop()
-	rec.CountSolve(ok)
-	rec.ReportBackend(alg)
-	if !ok {
-		return false
-	}
-	stop = rec.Phase("decode")
-	p.model = decodeModel(inputs, alg.BitValue)
-	stop()
-	// Arm NextModel: each call conjoins "some variable differs from the
-	// current model" (reusing blockModel) and re-solves incrementally on
-	// the same solver, under the check of that NextModel call.
-	p.next = func(chk cancel.Check) bool {
-		armInterrupt(alg, chk)
-		rec := p.opts.begin("nextmodel")
-		defer rec.End()
-		stop := rec.Phase("symeval")
-		differs := alg.False()
-		for id, in := range inputs {
-			differs = alg.Or(differs, blockModel(alg, in.Val, p.model[id]))
-		}
-		constraint = alg.And(constraint, differs)
-		stop()
-		stop = rec.Phase("solve")
-		ok := alg.Solve(constraint)
-		stop()
-		rec.CountSolve(ok)
-		rec.ReportBackend(alg)
-		if !ok {
-			return false
-		}
-		stop = rec.Phase("decode")
-		p.model = decodeModel(inputs, alg.BitValue)
-		stop()
-		return true
-	}
-	return true
-}
-
-func decodeModel[B comparable](inputs map[int32]*sym.Input[B], bit func(B) bool) map[int32]*interp.Value {
-	return sym.DecodeModel(inputs, bit)
+	found = p.sess.Next(chk, rec)
+	p.sess.Report(rec)
+	return found, nil
 }
 
 // Get reads a variable's value from the last model. It panics if Solve has
 // not succeeded or v was not declared via ProblemVar.
 func Get[T any](p *Problem, v Value[T]) T {
-	if p.model == nil {
+	if p.sess == nil {
 		panic("zen: Get before a successful Solve")
 	}
-	mv, ok := p.model[v.n.VarID]
+	mv, ok := p.sess.Models()[v.n.VarID]
 	if !ok {
 		panic("zen: Get of an undeclared variable")
 	}
-	rt := reflect.TypeOf((*T)(nil)).Elem()
-	return toGo(mv, rt).Interface().(T)
+	return goValue[T](mv)
 }
 
 // Eval evaluates an arbitrary expression under the last model (variables
 // not declared in the problem must not occur).
 func EvalUnderModel[T any](p *Problem, e Value[T]) T {
-	if p.model == nil {
+	if p.sess == nil {
 		panic("zen: EvalUnderModel before a successful Solve")
 	}
 	env := interp.Env{}
-	for id, v := range p.model {
+	for id, v := range p.sess.Models() {
 		env[id] = v
 	}
-	v := interp.Eval(e.n, env)
-	rt := reflect.TypeOf((*T)(nil)).Elem()
-	return toGo(v, rt).Interface().(T)
+	return goValue[T](interp.Eval(e.n, env))
 }

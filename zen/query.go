@@ -9,7 +9,6 @@ import (
 	"zen-go/internal/interp"
 	"zen-go/internal/obs"
 	"zen-go/internal/portfolio"
-	"zen-go/internal/sym"
 )
 
 // Queryable is the type-erased analysis surface of a model: its argument
@@ -52,99 +51,87 @@ type RawModel = map[int32]*interp.Value
 // satisfying cond, a boolean DAG over them (typically a predicate applied
 // to a Queryable's args and out). It is the untyped engine behind the
 // service layer; the typed Fn.Find remains the API for Go callers.
-func FindRaw(ctx context.Context, cond *core.Node, args []*core.Node, opts ...Option) (RawModel, bool, error) {
-	ms, err := findRaw(ctx, cond, args, 1, buildOptions(opts), "find")
-	if len(ms) == 0 {
-		return nil, false, err
-	}
-	return ms[0], true, err
+func FindRaw(ctx context.Context, cond *core.Node, args []*core.Node, opts ...Option) (m RawModel, found bool, err error) {
+	o := buildOptions(opts)
+	o.Ctx = ctx
+	err = o.query("find", prebuilt(cond), args, 1, func(mm RawModel) { m, found = mm, true })
+	return m, found, err
 }
 
 // FindAllRaw enumerates up to max distinct satisfying assignments,
 // re-solving with blocking constraints. On cancellation it returns the
 // models found before the cut together with the context's error.
-func FindAllRaw(ctx context.Context, cond *core.Node, args []*core.Node, max int, opts ...Option) ([]RawModel, error) {
-	return findRaw(ctx, cond, args, max, buildOptions(opts), "findall")
+func FindAllRaw(ctx context.Context, cond *core.Node, args []*core.Node, max int, opts ...Option) (ms []RawModel, err error) {
+	o := buildOptions(opts)
+	o.Ctx = ctx
+	err = o.query("findall", prebuilt(cond), args, max, func(m RawModel) { ms = append(ms, m) })
+	return ms, err
 }
 
-func findRaw(ctx context.Context, cond *core.Node, args []*core.Node, max int, o Options, analysis string) (ms []RawModel, err error) {
-	o.Ctx = ctx
+// prebuilt is the condition of a raw query, built by the caller.
+func prebuilt(cond *core.Node) func(*obs.Rec) *core.Node {
+	return func(*obs.Rec) *core.Node { return cond }
+}
+
+// built is the condition of a typed query: the predicate is applied to
+// the model's symbolic arguments inside the record, timed as "build".
+func built(pred func() Value[bool]) func(*obs.Rec) *core.Node {
+	return func(rec *obs.Rec) *core.Node {
+		defer rec.Phase("build")()
+		return pred().n
+	}
+}
+
+// query is the one driver behind Find, FindAll, Fn2.Find, FindRaw and
+// FindAllRaw: it opens the analysis record, builds the condition, opens
+// a solve session over args and hands each of up to max distinct models
+// to yield, in order. Cancellation (a dead o.Ctx) is returned as an
+// error after the models yielded before it.
+func (o Options) query(analysis string, cond func(*obs.Rec) *core.Node, args []*core.Node, max int, yield func(RawModel)) (err error) {
 	defer cancel.Trap(&err)
 	chk := o.check()
 	chk.Point()
 	rec := o.begin(analysis)
 	defer rec.End()
-	o.measureDAG(rec, cond)
-	cond = o.presolve(cond, rec)
-	switch o.Backend {
-	case Portfolio:
-		if perr := findRawPortfolio(cond, args, max, o, chk, rec, &ms); perr != nil {
-			return ms, perr
-		}
-	case SAT:
-		findRawWith(backends.NewSAT(), cond, args, max, o.ListBound, chk, rec, &ms)
-	default:
-		findRawWith(backends.NewBDD(), cond, args, max, o.ListBound, chk, rec, &ms)
-	}
-	return ms, nil
-}
-
-// findRawPortfolio is the untyped portfolio path: one race decides the
-// first model, then enumeration continues on the winning strategy.
-func findRawPortfolio(cond *core.Node, args []*core.Node, max int, o Options, chk cancel.Check, rec *obs.Rec, results *[]RawModel) error {
+	c := cond(rec)
 	if max <= 0 {
 		return nil
 	}
-	vars := make([]portfolio.VarSpec, len(args))
-	for i, a := range args {
-		vars[i] = portfolio.VarSpec{ID: a.VarID, Type: a.Type, Bound: o.ListBound, Name: a.Name}
-	}
-	sess, err := portfolio.Run(portfolio.Query{Cond: cond, Vars: vars}, o.portfolioCfg(chk), rec)
+	sess, err := o.open(c, args, chk, rec)
 	if err != nil {
 		return err
 	}
-	for ok := sess.Found(); ok && len(*results) < max; ok = sess.Next(chk, rec) {
-		*results = append(*results, sess.Models())
+	n := 0
+	for ok := sess.Found(); ok; ok = sess.Next(chk, rec) {
+		yield(sess.Models())
+		if n++; n == max {
+			break
+		}
 	}
 	sess.Report(rec)
-	rec.Event("models", len(*results))
+	if max > 1 {
+		rec.Event("models", n)
+	}
 	return nil
 }
 
-func findRawWith[B comparable](alg sym.Solver[B], cond *core.Node, args []*core.Node, max, bound int, chk cancel.Check, rec *obs.Rec, results *[]RawModel) {
-	armInterrupt(alg, chk)
-	stop := rec.Phase("symeval")
-	env := sym.Env[B]{}
-	inputs := make(map[int32]*sym.Input[B], len(args))
-	for _, a := range args {
-		in := sym.Fresh(alg, a.Type, bound, a.Name)
-		env[a.VarID] = in.Val
-		inputs[a.VarID] = in
+// open measures and presolves cond, then opens the solve session over
+// args on the backend the options name: a portfolio race, or a race of
+// one on BDD or SAT. It is the only place the package picks a solver;
+// the session's first verdict and model are in when it returns.
+func (o *Options) open(cond *core.Node, args []*core.Node, chk cancel.Check, rec *obs.Rec) (*portfolio.Session, error) {
+	o.measureDAG(rec, cond)
+	q := portfolio.Query{Cond: o.presolve(cond, rec), Vars: make([]portfolio.VarSpec, len(args))}
+	for i, a := range args {
+		q.Vars[i] = portfolio.VarSpec{ID: a.VarID, Type: a.Type, Bound: o.ListBound, Name: a.Name}
 	}
-	out := sym.EvalCheck(alg, cond, env, chk)
-	stop()
-	constraint := out.Bit
-	for len(*results) < max {
-		stop = rec.Phase("solve")
-		ok := alg.Solve(constraint)
-		stop()
-		rec.CountSolve(ok)
-		if !ok {
-			break
-		}
-		stop = rec.Phase("decode")
-		m := decodeModel(inputs, alg.BitValue)
-		*results = append(*results, m)
-		// Block this model: some argument must differ.
-		differs := alg.False()
-		for id, in := range inputs {
-			differs = alg.Or(differs, blockModel(alg, in.Val, m[id]))
-		}
-		constraint = alg.And(constraint, differs)
-		stop()
+	switch o.Backend {
+	case Portfolio:
+		return portfolio.Run(q, portfolio.Config{SATWorkers: o.PortfolioWorkers, Check: chk}, rec)
+	case SAT:
+		return portfolio.Solo("sat", backends.NewSAT(), q, chk, rec), nil
 	}
-	rec.ReportBackend(alg)
-	rec.Event("models", len(*results))
+	return portfolio.Solo("bdd", backends.NewBDD(), q, chk, rec), nil
 }
 
 // EvaluateRaw evaluates a DAG under concrete values for its variables —

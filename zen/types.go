@@ -116,6 +116,11 @@ func liftValue(rv reflect.Value) *interp.Value {
 	panic("zen: unsupported kind")
 }
 
+// goValue converts an interpreter value back into a Go value of type T.
+func goValue[T any](v *interp.Value) T {
+	return toGo(v, reflect.TypeOf((*T)(nil)).Elem()).Interface().(T)
+}
+
 // toGo converts an interpreter value back into a Go value of type rt.
 func toGo(v *interp.Value, rt reflect.Type) reflect.Value {
 	out := reflect.New(rt).Elem()
