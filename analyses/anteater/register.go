@@ -28,8 +28,9 @@ func init() {
 			return zen.And(Plain(p), zen.IsSome(device.ForwardPath(path, p)))
 		})
 	},
-		// ZL201: ForwardPath's Opt extractions are guarded (see
-		// nets/device); ZL401: like Plain, the condition only constrains
+		// ZL201: Plain rules out an underlay header, so ForwardPath's
+		// arm for tunneled packets (the underlay's destination) is
+		// unreachable; ZL401: like Plain, the condition only constrains
 		// the underlay header, leaving overlay fields free for Find.
 		// ZL602/ZL603: both devices forward on /0 default routes, whose
 		// zero-mask matches are statically true by construction.

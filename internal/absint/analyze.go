@@ -4,7 +4,7 @@ import "zen-go/internal/core"
 
 // defaultBudget bounds the number of node evaluations per Analysis, so
 // path-refined walks over adversarial DAGs degrade to top instead of
-// hanging (same spirit as the dead-branch walker's budget).
+// hanging.
 const defaultBudget = 1 << 20
 
 // Analysis evaluates abstract values over one DAG. The zero context
@@ -30,37 +30,35 @@ type Env struct {
 }
 
 // Assume returns a context extending e (nil for the root context) with
-// the facts implied by cond evaluating to truth. The second result is
-// false when the assumption contradicts e — i.e. cond cannot have that
-// truth value on this path, so the corresponding branch is unreachable.
-// boolFacts additionally records the truth of cond (and of the branch
-// conditions it decomposes into) as node-level facts; the lint walker
-// turns this off so every range finding comes from value reasoning the
-// ternary dead-branch pass (ZL201) cannot replicate.
-func (a *Analysis) Assume(e *Env, cond *core.Node, truth, boolFacts bool) (*Env, bool) {
+// the facts implied by cond evaluating to truth: value facts about the
+// compared operands, and the truth of cond (and of the branch conditions
+// it decomposes into) as node-level facts. The second result is false
+// when the assumption contradicts e — i.e. cond cannot have that truth
+// value on this path, so the corresponding branch is unreachable.
+func (a *Analysis) Assume(e *Env, cond *core.Node, truth bool) (*Env, bool) {
 	ne := &Env{facts: make(map[*core.Node]Value, 4), memo: make(map[*core.Node]Value)}
 	if e != nil {
 		for n, v := range e.facts {
 			ne.facts[n] = v
 		}
 	}
-	ok := a.assume(ne, cond, truth, boolFacts)
+	ok := a.assume(ne, cond, truth)
 	return ne, ok
 }
 
-func (a *Analysis) assume(e *Env, cond *core.Node, truth, boolFacts bool) bool {
+func (a *Analysis) assume(e *Env, cond *core.Node, truth bool) bool {
 	switch cond.Op {
 	case core.OpNot:
-		return a.assume(e, cond.Kids[0], !truth, boolFacts)
+		return a.assume(e, cond.Kids[0], !truth)
 	case core.OpAnd:
 		if truth {
-			return a.assume(e, cond.Kids[0], true, boolFacts) &&
-				a.assume(e, cond.Kids[1], true, boolFacts)
+			return a.assume(e, cond.Kids[0], true) &&
+				a.assume(e, cond.Kids[1], true)
 		}
 	case core.OpOr:
 		if !truth {
-			return a.assume(e, cond.Kids[0], false, boolFacts) &&
-				a.assume(e, cond.Kids[1], false, boolFacts)
+			return a.assume(e, cond.Kids[0], false) &&
+				a.assume(e, cond.Kids[1], false)
 		}
 	case core.OpEq:
 		x, y := cond.Kids[0], cond.Kids[1]
@@ -77,7 +75,7 @@ func (a *Analysis) assume(e *Env, cond *core.Node, truth, boolFacts bool) bool {
 			return false
 		}
 	}
-	if boolFacts && cond.Type.Kind == core.KindBool {
+	if cond.Type.Kind == core.KindBool {
 		if !a.refine(e, cond, boolVal(truth)) {
 			return false
 		}

@@ -238,7 +238,7 @@ func (s *simplifier) extend(e *Env, memo map[*core.Node]*core.Node, cond *core.N
 		return e, memo, true
 	}
 	s.envs++
-	ne, ok := s.a.Assume(e, cond, truth, true)
+	ne, ok := s.a.Assume(e, cond, truth)
 	if !ok {
 		return e, memo, false
 	}

@@ -5,36 +5,45 @@ import (
 	"zen-go/internal/core"
 )
 
-// AbsRange lifts the abstract-interpretation presolve domains — known
-// bits and unsigned intervals (internal/absint) — into the linter:
-// comparisons decided by value ranges, conditions that contradict their
-// enclosing guards, and non-constant expressions whose bits are all
-// forced. These are findings the ternary dead-branch pass (ZL201)
-// provably cannot see: it treats every bitvector comparison as an opaque
-// unknown, while this analyzer reasons about the values flowing into it.
-// To keep the two disjoint, the walker refines contexts with boolFacts
-// off — no node-level truth facts are recorded, so every decision here
-// comes from value reasoning alone.
+// AbsRange is the linter's one context-sensitive walk. It lifts the
+// abstract-interpretation presolve domains — known bits and unsigned
+// intervals, plus truth facts about boolean nodes (internal/absint) —
+// into the linter, refining the context at every branch condition on the
+// way down, and reports what the refined contexts decide:
 //
-// Hash-consing means one node can sit in many path contexts, so (like
-// ZL201) a finding is reported only when every reachable context agrees:
-// a comparison decided true on one path and open on another is working
-// exactly as intended.
+//   - ZL201: a conditional branch no reachable context can take. The
+//     Builder folds syntactically constant conditions at build time; what
+//     survives is semantic deadness — a condition that repeats, contradicts
+//     or is absorbed by an enclosing one, or that value ranges decide.
+//   - ZL601/ZL602: comparisons decided by value ranges.
+//   - ZL603: non-constant expressions whose bits are all forced.
+//
+// Hash-consing means one node can sit in many path contexts (the Opt
+// idiom re-uses If(ok, val, default) everywhere), so a finding is
+// reported only when every reachable context agrees: a comparison decided
+// true on one path and open on another is working exactly as intended,
+// and a branch is dead only if no reachable context leaves it live.
+//
+// One walk sees both kinds of cause, so each finding is reported once, at
+// its root. A dead branch whose condition, or an operand of that
+// condition (looking through Not), is a reported ZL601/ZL602 comparison
+// is that comparison's finding. A range verdict that holds only because
+// a reported dead branch pins a value below it is that branch's finding.
 var AbsRange = &Analyzer{
 	Name:  "absrange",
-	Doc:   "comparisons and values decided by known-bits + interval analysis",
-	Codes: []string{"ZL601", "ZL602", "ZL603"},
+	Doc:   "dead branches, comparisons and values decided by known-bits + interval analysis",
+	Codes: []string{"ZL201", "ZL601", "ZL602", "ZL603"},
 	Run:   runAbsRange,
 }
 
-// absRangeEnvs caps refined contexts per model; past the cap branches
-// are walked under the parent context (fewer findings, never wrong ones,
-// since an undecided sight suppresses the report).
-const absRangeEnvs = 256
-
-// absRangeBudget bounds the context-sensitive walk; a truncated walk
-// stays silent, as an unvisited context could have left a node open.
-const absRangeBudget = 1 << 20
+// walkBudget bounds the walk's work at about contexts × nodes: each
+// refined context copies its facts and visits and evaluates each node at
+// most once, so a model gets walkBudget/nodes refined contexts. Past
+// that, branches are walked under the enclosing context: fewer findings,
+// never wrong ones, since a wider context only leaves more open. It stays
+// below absint's evaluation budget, so values never degrade to top
+// midway through the walk.
+const walkBudget = 1 << 19
 
 func runAbsRange(p *Pass) {
 	w := &rangeWalker{
@@ -42,28 +51,46 @@ func runAbsRange(p *Pass) {
 		a:       absint.New(),
 		dec:     make(map[*core.Node]*rangeDecision),
 		sing:    make(map[*core.Node]*rangeSingleton),
-		visited: make(map[*core.Node]bool),
-		budget:  absRangeBudget,
+		live:    make(map[*core.Node]*[2]bool),
+		visited: make(map[*absint.Env]map[*core.Node]bool),
+		envs:    walkBudget / core.Measure(p.Root).Nodes,
+
+		fromDead: make(map[*core.Node]bool),
 	}
 	w.walk(p.Root, nil)
-	if w.budget <= 0 {
-		return
-	}
 	var nodes []*core.Node
+	for n := range w.live {
+		nodes = append(nodes, n)
+	}
+	sortNodesByID(nodes)
+	for _, n := range nodes {
+		if !w.deadFinding(n) {
+			continue
+		}
+		for i, which := range [2]string{"then", "else"} {
+			if !w.live[n][i] {
+				w.p.Reportf("ZL201", SevWarn, n,
+					"the branch can be removed, or the enclosing condition is wrong",
+					"%s-branch is dead in every context: condition %s is always decided by enclosing branch conditions",
+					which, w.p.ExprString(n.Kids[0]))
+			}
+		}
+	}
+	nodes = nodes[:0]
 	for n := range w.dec {
 		nodes = append(nodes, n)
 	}
 	sortNodesByID(nodes)
 	for _, n := range nodes {
-		d := w.dec[n]
 		switch {
-		case d.open || (d.t && d.f):
-			// undecided somewhere, or context-dependent: working as intended
-		case d.f:
+		case !w.rangeFinding(n):
+			// undecided somewhere, context-dependent (working as
+			// intended), or reported as the dead branch behind it
+		case w.dec[n].f:
 			w.p.Reportf("ZL601", SevWarn, n,
 				"the comparison (or an enclosing guard) is wrong, or the branch is dead code",
 				"comparison can never hold: the operand ranges are disjoint in every context")
-		case d.t:
+		default:
 			w.p.Reportf("ZL602", SevWarn, n,
 				"drop the comparison, or tighten it to the case it was meant to exclude",
 				"comparison always holds: the operand ranges decide it in every context")
@@ -76,7 +103,7 @@ func runAbsRange(p *Pass) {
 	sortNodesByID(nodes)
 	for _, n := range nodes {
 		s := w.sing[n]
-		if s.same && !s.open {
+		if s.same && !s.open && !w.fromDeadBranch(n) {
 			w.p.Reportf("ZL603", SevInfo, n,
 				"replace the expression with the constant (or fix the mask/shift forcing it)",
 				"every bit of this %d-bit expression is forced: it always evaluates to %d",
@@ -101,43 +128,59 @@ type rangeWalker struct {
 	a       *absint.Analysis
 	dec     map[*core.Node]*rangeDecision
 	sing    map[*core.Node]*rangeSingleton
-	visited map[*core.Node]bool // context-free visit memo
-	envs    int
-	budget  int
+	live    map[*core.Node]*[2]bool             // per reachable If: {then, else} seen live
+	visited map[*absint.Env]map[*core.Node]bool // per-context visit memo
+	envs    int                                 // refined contexts left
+
+	fromDead map[*core.Node]bool // fromDeadBranch memo
 }
 
 func (w *rangeWalker) walk(n *core.Node, e *absint.Env) {
-	if w.budget <= 0 {
+	// A node observes the same under the same context; other contexts
+	// can decide it differently, so they re-descend.
+	seen := w.visited[e]
+	if seen == nil {
+		seen = make(map[*core.Node]bool)
+		w.visited[e] = seen
+	}
+	if seen[n] {
 		return
 	}
-	w.budget--
-	// Context-free visits need to happen only once; refined contexts can
-	// decide nodes differently, so they re-descend.
-	if e == nil {
-		if w.visited[n] {
-			return
-		}
-		w.visited[n] = true
-	}
+	seen[n] = true
 	w.observe(n, e)
 	switch n.Op {
 	case core.OpIf:
 		cond := n.Kids[0]
 		w.walk(cond, e)
-		if et, ok := w.extend(e, cond, true); ok {
+		et, okT := w.extend(e, cond, true)
+		ef, okF := w.extend(e, cond, false)
+		if okT || okF { // neither: the path itself is unreachable
+			lv := w.live[n]
+			if lv == nil {
+				lv = new([2]bool)
+				w.live[n] = lv
+			}
+			lv[0] = lv[0] || okT
+			lv[1] = lv[1] || okF
+		}
+		if okT {
 			w.walk(n.Kids[1], et)
 		}
-		if ef, ok := w.extend(e, cond, false); ok {
+		if okF {
 			w.walk(n.Kids[2], ef)
 		}
 	case core.OpAnd, core.OpOr:
 		// The right operand only matters when the left does not decide
 		// the connective, so it lives under the left's non-deciding
-		// truth value; a contradiction means it is never evaluated.
+		// truth value. When the left always decides it, nothing reports
+		// the unneeded operand, so it is walked under the enclosing
+		// context instead, keeping dead branches inside it visible.
 		w.walk(n.Kids[0], e)
-		if er, ok := w.extend(e, n.Kids[0], n.Op == core.OpAnd); ok {
-			w.walk(n.Kids[1], er)
+		er, ok := w.extend(e, n.Kids[0], n.Op == core.OpAnd)
+		if !ok {
+			er = e
 		}
+		w.walk(n.Kids[1], er)
 	default:
 		for _, k := range n.Kids {
 			w.walk(k, e)
@@ -177,13 +220,84 @@ func (w *rangeWalker) observe(n *core.Node, e *absint.Env) {
 	}
 }
 
-// extend refines the context with cond=truth, under the env cap. The
-// second result is false when the assumption contradicts the path — the
-// guarded code is unreachable, so nothing below it is observed.
+// extend refines the context with cond=truth, within the context
+// budget. The second result is false when the path cannot give cond that
+// truth value — the guarded code is unreachable, so nothing below it is
+// observed. A context that already decides cond is checked first: Assume
+// decomposes a true And (a false Or) into its operands without meeting
+// the connective's own fact, so it would miss that contradiction.
 func (w *rangeWalker) extend(e *absint.Env, cond *core.Node, truth bool) (*absint.Env, bool) {
-	if w.envs >= absRangeEnvs {
+	if b, ok := w.a.Eval(cond, e).AsBool(); ok && b != truth {
+		return nil, false
+	}
+	if w.envs <= 0 {
 		return e, true
 	}
-	w.envs++
-	return w.a.Assume(e, cond, truth, false)
+	w.envs--
+	return w.a.Assume(e, cond, truth)
+}
+
+// deadFinding reports whether n is an If reported as ZL201: a branch no
+// reachable context takes, not rooted in a range finding.
+func (w *rangeWalker) deadFinding(n *core.Node) bool {
+	lv := w.live[n]
+	return lv != nil && !(lv[0] && lv[1]) && !w.rangeRooted(n.Kids[0])
+}
+
+// rangeRooted reports whether cond, or an operand of it, looking through
+// Not, is a comparison reported as ZL601/ZL602.
+func (w *rangeWalker) rangeRooted(cond *core.Node) bool {
+	cond = stripNot(cond)
+	if w.rangeFinding(cond) {
+		return true
+	}
+	for _, k := range cond.Kids {
+		if w.rangeFinding(stripNot(k)) {
+			return true
+		}
+	}
+	return false
+}
+
+// rangeFinding reports whether n is a comparison reported as ZL601/ZL602:
+// every context decided it, the same way, and not through a dead branch.
+func (w *rangeWalker) rangeFinding(n *core.Node) bool {
+	d := w.dec[n]
+	return d != nil && !d.open && d.t != d.f && !w.fromDeadBranch(n)
+}
+
+// fromDeadBranch reports whether n's range verdict rests on a reported
+// dead branch: n is one, or it reads one through operands that the
+// context-free analysis leaves undecided. The recursion only descends
+// the DAG (deadFinding looks at n's condition), so it terminates.
+func (w *rangeWalker) fromDeadBranch(n *core.Node) bool {
+	v, ok := w.fromDead[n]
+	if ok {
+		return v
+	}
+	v = n.Op == core.OpIf && w.deadFinding(n)
+	if !v && !decidedAlone(w.a.Eval(n, nil)) {
+		for _, k := range n.Kids {
+			if w.fromDeadBranch(k) {
+				v = true
+				break
+			}
+		}
+	}
+	w.fromDead[n] = v
+	return v
+}
+
+// decidedAlone reports whether a context-free value is already decided.
+func decidedAlone(v absint.Value) bool {
+	_, b := v.AsBool()
+	_, c := v.AsConst()
+	return b || c
+}
+
+func stripNot(n *core.Node) *core.Node {
+	for n.Op == core.OpNot {
+		n = n.Kids[0]
+	}
+	return n
 }

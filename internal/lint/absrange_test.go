@@ -41,15 +41,15 @@ func TestAbsRangeGuardRefinement(t *testing.T) {
 	x := b.Var(u8, "x")
 	y, z, w := b.Var(u8, "y"), b.Var(u8, "z"), b.Var(u8, "w")
 	// Under x < 5 the nested x < 10 is decided by interval refinement.
-	// ZL201 cannot see this: its ternary evaluator treats the two distinct
-	// comparison nodes as unrelated opaque booleans.
+	// Its dead else-branch is reported once, as the comparison, not again
+	// as ZL201.
 	inner := b.If(b.Lt(x, b.BVConst(u8, 10)), y, z)
 	root := b.If(b.Lt(x, b.BVConst(u8, 5)), inner, w)
 	diags := Run(root, nil, AbsRange)
 	if !hasCode(diags, "ZL602") {
 		t.Fatalf("want ZL602 via guard refinement, got %v", codes(diags))
 	}
-	if dead := Run(root, nil, DeadBranch); hasCode(dead, "ZL201") {
+	if dead := Run(root, nil, AbsRange); hasCode(dead, "ZL201") {
 		t.Fatalf("ZL201 unexpectedly sees the range fact — the analyzers are meant to be disjoint: %v", codes(dead))
 	}
 }
@@ -109,4 +109,61 @@ func TestAbsRangeMalformedDAGNoPanic(t *testing.T) {
 	bad.Kids[1] = b.Var(core.Bool(), "p")
 	root := b.Eq(bad, b.BVConst(u8, 3))
 	_ = Run(root, nil, AbsRange)
+}
+
+func TestAbsRangeRepeatedDisjunction(t *testing.T) {
+	b := core.NewBuilder()
+	u8 := core.BV(8, false)
+	p, q := b.Var(core.Bool(), "p"), b.Var(core.Bool(), "q")
+	x, y, z := b.Var(u8, "x"), b.Var(u8, "y"), b.Var(u8, "z")
+	// Assuming p∨q false refutes p and q without meeting the fact that
+	// p∨q holds, so the walker must consult the context first.
+	inner := b.If(b.Or(p, q), x, y)
+	root := b.If(b.Or(p, q), inner, z)
+	for _, d := range Run(root, nil, AbsRange) {
+		if d.Code == "ZL201" && d.Node == inner {
+			return
+		}
+	}
+	t.Fatal("want ZL201 on the repeated disjunction")
+}
+
+func TestAbsRangeUnneededOperandWalked(t *testing.T) {
+	b := core.NewBuilder()
+	u8 := core.BV(8, false)
+	c := b.Var(core.Bool(), "c")
+	x, y, w := b.Var(u8, "x"), b.Var(u8, "y"), b.Var(u8, "w")
+	// In the else of c, And(c, ·) never needs its right operand; the If
+	// inside it is still walked, under ¬c, and its else-branch is dead.
+	inner := b.If(b.Not(c), x, y)
+	root := b.If(c, b.Eq(x, w), b.And(c, b.Eq(inner, w)))
+	for _, d := range Run(root, nil, AbsRange) {
+		if d.Code == "ZL201" && d.Node == inner {
+			return
+		}
+	}
+	t.Fatal("want ZL201 inside the unneeded And operand")
+}
+
+func TestAbsRangeForcedByDeadBranchReportedOnce(t *testing.T) {
+	b := core.NewBuilder()
+	u8 := core.BV(8, false)
+	c := b.Var(core.Bool(), "c")
+	x, y, z := b.Var(u8, "x"), b.Var(u8, "y"), b.Var(u8, "z")
+	// Under c the inner If always yields 5, so it, the masked value and
+	// the comparison reading them are decided — but only because the
+	// inner If's else-branch is dead. That is reported as ZL201, not
+	// again as ZL602/ZL603.
+	inner := b.If(c, b.BVConst(u8, 5), y)
+	masked := b.BAnd(inner, b.BVConst(u8, 0x0f))
+	root := b.If(c, b.If(b.Eq(masked, b.BVConst(u8, 5)), x, z), z)
+	diags := Run(root, nil, AbsRange)
+	for _, d := range diags {
+		if d.Code != "ZL201" {
+			t.Fatalf("range finding on a value a dead branch pins: %v", codes(diags))
+		}
+	}
+	if !hasCode(diags, "ZL201") {
+		t.Fatalf("want ZL201, got %v", codes(diags))
+	}
 }

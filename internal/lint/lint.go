@@ -88,7 +88,7 @@ func (d Diagnostic) String() string {
 
 // Analyzer is one static analysis over a model DAG.
 type Analyzer struct {
-	// Name identifies the analyzer ("deadbranch").
+	// Name identifies the analyzer.
 	Name string
 	// Doc is a one-line description.
 	Doc string
@@ -222,22 +222,11 @@ func sanitizeIdent(s string) string {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		WellFormed,
-		DeadBranch,
 		AbsRange,
 		DupSubtree,
 		UnusedInput,
 		CostAdvisor,
 	}
-}
-
-// AnalyzerByName returns the named analyzer, or nil.
-func AnalyzerByName(name string) *Analyzer {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }
 
 // Run analyzes the DAG rooted at root with the given analyzers (all of

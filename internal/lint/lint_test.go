@@ -89,7 +89,7 @@ func TestDeadBranchRepeatedCondition(t *testing.T) {
 	x, y, z := b.Var(u8, "x"), b.Var(u8, "y"), b.Var(u8, "z")
 	inner := b.If(c, x, y) // reachable only when c already holds: y dead
 	root := b.If(c, inner, z)
-	diags := Run(root, nil, DeadBranch)
+	diags := Run(root, nil, AbsRange)
 	if !hasCode(diags, "ZL201") {
 		t.Fatalf("want ZL201 on repeated condition, got %v", codes(diags))
 	}
@@ -104,7 +104,7 @@ func TestDeadBranchKleenePropagation(t *testing.T) {
 	// even though c∨d is not itself assumed.
 	inner := b.If(b.Or(c, d), x, y)
 	root := b.If(c, inner, z)
-	diags := Run(root, nil, DeadBranch)
+	diags := Run(root, nil, AbsRange)
 	if !hasCode(diags, "ZL201") {
 		t.Fatalf("want ZL201 via ternary propagation, got %v", codes(diags))
 	}
@@ -118,7 +118,7 @@ func TestDeadBranchContradiction(t *testing.T) {
 	// In the else of c, an if on c can only take its own else branch.
 	inner := b.If(c, x, y)
 	root := b.If(c, z, inner)
-	diags := Run(root, nil, DeadBranch)
+	diags := Run(root, nil, AbsRange)
 	if !hasCode(diags, "ZL201") {
 		t.Fatalf("want ZL201 on contradicted condition, got %v", codes(diags))
 	}
@@ -130,7 +130,7 @@ func TestDeadBranchCleanModel(t *testing.T) {
 	c, d := b.Var(core.Bool(), "c"), b.Var(core.Bool(), "d")
 	x, y, z := b.Var(u8, "x"), b.Var(u8, "y"), b.Var(u8, "z")
 	root := b.If(c, b.If(d, x, y), z)
-	if diags := Run(root, nil, DeadBranch); len(diags) != 0 {
+	if diags := Run(root, nil, AbsRange); len(diags) != 0 {
 		t.Fatalf("independent conditions reported %v", codes(diags))
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -15,6 +17,7 @@ import (
 // section of the process-wide aggregate count the same requests the same
 // way: a failed query is one error, and a query that never reaches the
 // answer cache (evaluate, or one rejected before lookup) is no miss.
+// That holds for requests whose body fails to decode too.
 func TestServeCountersAgree(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ctx := context.Background()
@@ -27,9 +30,20 @@ func TestServeCountersAgree(t *testing.T) {
 	} {
 		s.Do(ctx, req)
 	}
+	// Requests that fail to decode never reach Do: a malformed query and
+	// a malformed batch item are failed queries, a bad stream header is
+	// an error but no query.
+	h := s.Handler()
+	for _, r := range []struct{ path, body string }{
+		{"/v1/query", `{"model":`},
+		{"/v1/batch", `{"queries":[42]}`},
+		{"/v1/evaluate", "not a header\n"},
+	} {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, r.path, strings.NewReader(r.body)))
+	}
 	after := obs.Global().Snapshot().Serve
 
-	want := map[string]int64{"queries": 4, "errors": 1, "cache_hits": 1, "cache_misses": 1}
+	want := map[string]int64{"queries": 6, "errors": 4, "cache_hits": 1, "cache_misses": 1}
 	st := s.Stats()
 	stats := map[string]int64{"queries": st.Queries, "errors": st.Errors, "cache_hits": st.CacheHits, "cache_misses": st.CacheMisses}
 	global := map[string]int64{

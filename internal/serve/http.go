@@ -102,9 +102,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, id := requestID(w, r)
 	var req Request
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.errors.Add(1)
 		res := failResponse(http.StatusBadRequest, ErrBadRequest, "bad request: %v", err)
 		res.RequestID = id
+		s.publish(res, lookupNone)
 		writeJSON(w, res.HTTPStatus(), res)
 		return
 	}
@@ -132,14 +132,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, id := requestID(w, r)
 	var batch BatchRequest
 	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
-		s.errors.Add(1)
+		s.reject()
 		res := failResponse(http.StatusBadRequest, ErrBadRequest, "bad request: %v", err)
 		res.RequestID = id
 		writeJSON(w, res.HTTPStatus(), res)
 		return
 	}
 	if len(batch.Queries) > maxBatch {
-		s.errors.Add(1)
+		s.reject()
 		res := failResponse(http.StatusBadRequest, ErrBatchTooLarge, "batch too large (max %d)", maxBatch)
 		res.RequestID = id
 		writeJSON(w, res.HTTPStatus(), res)
@@ -165,9 +165,9 @@ func (s *Server) DoBatchRaw(ctx context.Context, raws []json.RawMessage) []*Resp
 	for i, raw := range raws {
 		var req Request
 		if err := json.Unmarshal(raw, &req); err != nil {
-			s.errors.Add(1)
 			res := failResponse(http.StatusBadRequest, ErrBadRequest, "query %d: %v", i, err)
 			res.RequestID = subID(i)
+			s.publish(res, lookupNone)
 			out[i] = res
 			continue
 		}

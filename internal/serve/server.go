@@ -697,6 +697,14 @@ func (s *Server) publish(res *Response, lk lookup) {
 	obs.Global().Merge(&obs.Snapshot{Serve: d})
 }
 
+// reject counts a request refused before any query was read from it (a
+// malformed batch envelope or stream header) as one error, in the server
+// counters and the aggregate alike. It is not a query.
+func (s *Server) reject() {
+	s.errors.Add(1)
+	obs.Global().Merge(&obs.Snapshot{Serve: obs.ServeStats{Errors: 1}})
+}
+
 // Stats is the service's self-reported state, served on /v1/stats and
 // published as the expvar "zenserve".
 type Stats struct {

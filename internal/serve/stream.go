@@ -95,7 +95,7 @@ func (s *Server) handleEvaluateStream(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, id := requestID(w, r)
 	fail := func(status int, code, format string, args ...any) {
-		s.errors.Add(1)
+		s.reject()
 		res := failResponse(status, code, format, args...)
 		res.RequestID = id
 		writeJSON(w, res.HTTPStatus(), res)

@@ -28,11 +28,9 @@ func init() {
 			return ForwardPath(path, p)
 		})
 	},
-		// ZL201: ForwardPath extracts each hop's Opt value only under its
-		// IsSome guard, so the Opt defaults are intentionally unreachable;
-		// with default routes everywhere the per-hop match checks are also
-		// decided by the first hop's.
 		// ZL602/ZL603: every hop's table is a lone default route, so each
 		// /0 match (BAnd(dst, 0) == 0) is statically true by construction.
-		"ZL201", "ZL602", "ZL603")
+		// The branches those matches leave dead are reported once, as
+		// these comparisons, not again as ZL201.
+		"ZL602", "ZL603")
 }

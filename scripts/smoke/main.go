@@ -3,7 +3,7 @@
 // binary on a random port, exercises the service surface — model
 // listing, a cold query, a cached repeat, a deadline-expired query, a
 // batch, instance creation, a /v1/update delta, error accounting for a
-// failed query, the lint endpoint — and
+// failed and a malformed query, the lint endpoint — and
 // asserts a clean SIGTERM drain plus a snapshot-warm restart.
 package main
 
@@ -97,6 +97,21 @@ func main() {
 		fatal("one failed query moved /v1/stats errors by %d, want 1", moved)
 	}
 	fmt.Println("ok: a failed query counts one error")
+
+	// A query body that fails to decode is a failed query too, and it
+	// reaches the process-wide aggregate as well as /v1/stats.
+	errorsBefore, globalBefore := statsErrors(), globalErrors()
+	code, body = post("/v1/query", `{"model":`)
+	if code != http.StatusBadRequest || !strings.Contains(body, `"bad_request"`) {
+		fatal("malformed query: HTTP %d, want 400 with bad_request:\n%s", code, body)
+	}
+	if moved := statsErrors() - errorsBefore; moved != 1 {
+		fatal("one malformed query moved /v1/stats errors by %d, want 1", moved)
+	}
+	if moved := globalErrors() - globalBefore; moved != 1 {
+		fatal("one malformed query moved /debug/zenstats serve.errors by %d, want 1", moved)
+	}
+	fmt.Println("ok: a malformed query counts one error in both counters")
 
 	code, body = get("/v1/lint?model=demo/add8")
 	expect("lint endpoint", code, body, `"findings"`)
@@ -192,6 +207,21 @@ func statsErrors() int64 {
 		fatal("/v1/stats errors: HTTP %d, %v:\n%s", code, err, body)
 	}
 	return *stats.Errors
+}
+
+// globalErrors reads the serve errors counter of the process-wide
+// aggregate from /debug/zenstats.
+func globalErrors() int64 {
+	code, body := get("/debug/zenstats")
+	var snap struct {
+		Serve struct {
+			Errors *int64 `json:"errors"`
+		} `json:"serve"`
+	}
+	if err := json.Unmarshal([]byte(body), &snap); code != http.StatusOK || err != nil || snap.Serve.Errors == nil {
+		fatal("/debug/zenstats serve.errors: HTTP %d, %v:\n%s", code, err, body)
+	}
+	return *snap.Serve.Errors
 }
 
 func get(path string) (int, string) {
