@@ -82,3 +82,4 @@ fuzz:
 	$(GO) test ./internal/fuzz -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fuzz -run '^$$' -fuzz '^FuzzListHeavy$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fuzz -run '^$$' -fuzz '^FuzzWide$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzCompilePredicate$$' -fuzztime $(FUZZTIME)

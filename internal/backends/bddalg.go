@@ -308,8 +308,6 @@ func (s *SAT) ReportInto(snap *obs.Snapshot) {
 	snap.SAT.Propagations += st.Propagations
 	snap.SAT.Conflicts += st.Conflicts
 	snap.SAT.Restarts += st.Restarts
-	snap.SAT.Imported += st.Imported
-	snap.SAT.Exported += st.Exported
 }
 
 var (

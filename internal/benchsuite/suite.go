@@ -105,8 +105,6 @@ func backendMetrics(st *zen.Stats) func(n int) map[string]float64 {
 			for k, v := range s.Portfolio.WinsBy {
 				out["portfolio-wins-"+k+"-%"] = 100 * float64(v) / float64(s.Portfolio.Races)
 			}
-			out["portfolio-clauses-shared/op"] = float64(s.Portfolio.ClausesShared) / float64(n)
-			out["portfolio-clauses-imported/op"] = float64(s.Portfolio.ClausesImported) / float64(n)
 		}
 		return out
 	}

@@ -37,9 +37,6 @@ func (s *Stop) Err() error {
 	return nil
 }
 
-// Stopped reports whether Trigger has been called.
-func (s *Stop) Stopped() bool { return s.cause.Load() != nil }
-
 // Check adapts the Stop into the solver poll-point protocol.
 func (s *Stop) Check() Check { return s.Err }
 

@@ -9,7 +9,7 @@ import (
 
 func TestStopFirstCauseWins(t *testing.T) {
 	var s Stop
-	if s.Stopped() || s.Err() != nil {
+	if s.Err() != nil {
 		t.Fatal("fresh Stop should be untriggered")
 	}
 	first := errors.New("first")
@@ -17,9 +17,6 @@ func TestStopFirstCauseWins(t *testing.T) {
 	s.Trigger(errors.New("second"))
 	if s.Err() != first {
 		t.Fatalf("Err() = %v, want first cause", s.Err())
-	}
-	if !s.Stopped() {
-		t.Fatal("Stopped() should be true after Trigger")
 	}
 }
 

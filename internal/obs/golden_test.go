@@ -22,7 +22,7 @@ func fullSnapshot() Snapshot {
 	s.DAG = DAGStats{Nodes: 104, Depth: 105, Vars: 106}
 	s.BDD = BDDStats{Nodes: 107, CacheHits: 108, CacheMisses: 109, UniqueHits: 110}
 	s.SAT = SATStats{Vars: 111, Clauses: 112, Learned: 113, Decisions: 114,
-		Propagations: 115, Conflicts: 116, Restarts: 117, Imported: 118, Exported: 119}
+		Propagations: 115, Conflicts: 116, Restarts: 117}
 	s.Compile = CompileStats{Compiles: 120, Instructions: 121, Registers: 122}
 	s.Bitslice = BitsliceStats{Plans: 123, PlanOps: 124, PlanRegs: 125,
 		Batches: 126, Packets: 127, Fallbacks: 128}
@@ -33,7 +33,7 @@ func fullSnapshot() Snapshot {
 		SnapshotHits: 143, Coalesced: 144, Shed: 145, Cancelled: 146, Errors: 147,
 		Updates: 148, DeltaReused: 149, DeltaReverified: 150}
 	s.Portfolio = PortfolioStats{Races: 151, WinsBy: map[string]int64{"bdd": 152, "sat": 153},
-		ClausesShared: 154, ClausesImported: 155, LoserAborts: 156, LoserAbortNs: 157_000_000}
+		ClausesImported: 155, LoserAborts: 156, LoserAbortNs: 157_000_000}
 	s.Absint = AbsintStats{Presolves: 158, NodesBefore: 159, NodesAfter: 160, Folds: 161,
 		ComparesDecided: 162, BranchesPruned: 163, SlicedInputs: 164,
 		AutoPicks: map[string]int64{"bdd": 165, "sat": 166}}

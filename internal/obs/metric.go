@@ -123,13 +123,10 @@ var SnapshotMetrics = []Metric[Snapshot]{
 	{Name: "zen_sat_propagations_total", Help: "Unit propagations across SAT solves.", Field: func(s *Snapshot) *int64 { return &s.SAT.Propagations }},
 	{Name: "zen_sat_conflicts_total", Help: "Conflicts across SAT solves.", Field: func(s *Snapshot) *int64 { return &s.SAT.Conflicts }},
 	{Name: "zen_sat_restarts_total", Help: "Restarts across SAT solves.", Field: func(s *Snapshot) *int64 { return &s.SAT.Restarts }},
-	{Field: func(s *Snapshot) *int64 { return &s.SAT.Imported }},
-	{Field: func(s *Snapshot) *int64 { return &s.SAT.Exported }},
 
 	{Name: "zen_portfolio_races_total", Help: "Solver-portfolio races run.", Stable: true, Field: func(s *Snapshot) *int64 { return &s.Portfolio.Races }},
 	{Name: "zen_portfolio_wins_total", Help: "Solver-portfolio races by winning strategy.", Label: "strategy", Map: func(s *Snapshot) *map[string]int64 { return &s.Portfolio.WinsBy }},
-	{Name: "zen_portfolio_clauses_shared_total", Help: "Clauses exported to the portfolio clause exchange.", Field: func(s *Snapshot) *int64 { return &s.Portfolio.ClausesShared }},
-	{Name: "zen_portfolio_clauses_imported_total", Help: "Clauses accepted from the portfolio clause exchange.", Field: func(s *Snapshot) *int64 { return &s.Portfolio.ClausesImported }},
+	{Field: func(s *Snapshot) *int64 { return &s.Portfolio.ClausesImported }},
 	{Name: "zen_portfolio_loser_aborts_total", Help: "Losing portfolio strategies torn down after a race.", Field: func(s *Snapshot) *int64 { return &s.Portfolio.LoserAborts }},
 	{Name: "zen_portfolio_loser_abort_seconds_total", Help: "Wall time between a race winner's answer and loser teardown.", Field: func(s *Snapshot) *int64 { return &s.Portfolio.LoserAbortNs },
 		Value: func(s *Snapshot) float64 { return float64(s.Portfolio.LoserAbortNs) / 1e9 }},

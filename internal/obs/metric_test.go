@@ -53,12 +53,12 @@ func TestSnapshotMetricsCoverEveryField(t *testing.T) {
 func TestRecAdd(t *testing.T) {
 	var st Stats
 	r := Begin(&st, nil, "portfolio", "find")
-	r.Add(Snapshot{Portfolio: PortfolioStats{Races: 1, WinsBy: map[string]int64{"sat": 1}, ClausesShared: 4}})
+	r.Add(Snapshot{Portfolio: PortfolioStats{Races: 1, WinsBy: map[string]int64{"sat": 1}, LoserAborts: 4}})
 	r.Add(Snapshot{Portfolio: PortfolioStats{Races: 1, WinsBy: map[string]int64{"sat": 1, "bdd": 1}}})
 	r.Add(Snapshot{Absint: AbsintStats{Presolves: 1, AutoPicks: map[string]int64{"sat": 1}}})
 	r.End()
 	s := st.Snapshot()
-	if s.Portfolio.Races != 2 || s.Portfolio.ClausesShared != 4 ||
+	if s.Portfolio.Races != 2 || s.Portfolio.LoserAborts != 4 ||
 		s.Portfolio.WinsBy["sat"] != 2 || s.Portfolio.WinsBy["bdd"] != 1 {
 		t.Fatalf("portfolio = %+v", s.Portfolio)
 	}

@@ -89,25 +89,22 @@ type SATStats struct {
 	Propagations int64 `json:"propagations"`
 	Conflicts    int64 `json:"conflicts"`
 	Restarts     int64 `json:"restarts"`
-	// Imported and Exported count clauses moved through the portfolio's
-	// clause exchange (zero outside portfolio runs).
-	Imported int64 `json:"imported,omitempty"`
-	Exported int64 `json:"exported,omitempty"`
 }
 
 // PortfolioStats count solver-portfolio activity (internal/portfolio):
-// strategy races, their winners, clause sharing between SAT workers, and
-// how quickly race losers acknowledged cancellation.
+// strategy races, their winners, and how quickly race losers acknowledged
+// cancellation.
 type PortfolioStats struct {
 	// Races counts portfolio queries (each races >= 2 strategies).
 	Races int64 `json:"races"`
 	// WinsBy breaks Races down by winning strategy ("bdd", "sat").
 	WinsBy map[string]int64 `json:"wins_by,omitempty"`
-	// ClausesShared and ClausesImported count clauses exported to and
-	// accepted from the shared exchange across all SAT workers.
-	ClausesShared   int64 `json:"clauses_shared"`
-	ClausesImported int64 `json:"clauses_imported"`
-	// LoserAborts counts losing strategies torn down; LoserAbortNs is the
+	// ClausesImported is always zero: nothing writes it since SAT workers
+	// stopped sharing clauses. It stays only because the perfbench module
+	// still reads it; it is merged but neither exported nor serialized.
+	ClausesImported int64 `json:"-"`
+	// LoserAborts counts losing participants torn down: the BDD strategy
+	// plus every SAT worker, minus the winner. LoserAbortNs is the
 	// accumulated wall time between the winner's answer and the last
 	// loser's exit (cancellation latency).
 	LoserAborts  int64 `json:"loser_aborts"`
@@ -381,8 +378,7 @@ func (s *Snapshot) String() string {
 			}
 			fmt.Fprintf(&b, " (wins: %s)", strings.Join(parts, ", "))
 		}
-		fmt.Fprintf(&b, ", %d clauses shared / %d imported, %d losers aborted in %v total\n",
-			s.Portfolio.ClausesShared, s.Portfolio.ClausesImported,
+		fmt.Fprintf(&b, ", %d losers aborted in %v total\n",
 			s.Portfolio.LoserAborts, time.Duration(s.Portfolio.LoserAbortNs).Round(time.Microsecond))
 	}
 	if s.Absint.Presolves > 0 || len(s.Absint.AutoPicks) > 0 {

@@ -145,8 +145,6 @@ func (r *Rec) End() {
 				}
 			}
 			r.span.SetAttr("portfolio_loser_abort_ns", r.s.Portfolio.LoserAbortNs)
-			r.span.SetAttr("portfolio_clauses_shared", r.s.Portfolio.ClausesShared)
-			r.span.SetAttr("portfolio_clauses_imported", r.s.Portfolio.ClausesImported)
 		}
 		r.span.End()
 		r.span = nil

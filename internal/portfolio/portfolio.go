@@ -9,16 +9,14 @@
 //
 //   - a BDD strategy: encode the DAG into a fresh BDD manager and solve;
 //   - N diversified SAT workers: encode once (Tseitin), clone the solver
-//     per worker, perturb each clone's search (seed, random-decision
-//     frequency, VSIDS decay, saved phases), and share short learned
-//     clauses through an exchange all workers drain at restarts.
+//     per worker, and perturb each clone's search (seed, random-decision
+//     frequency, VSIDS decay, saved phases). The workers do not
+//     communicate; each searches the whole formula on its own.
 //
 // The first strategy to return Sat or Unsat claims the race; the rest
 // are torn down through the internal/cancel protocol (each loser's next
 // poll point unwinds it). A deadline that expires mid-race yields an
-// error — never a vacuous verdict. Sharing is sound because learned
-// clauses are consequences of the problem clauses alone (see
-// internal/sat).
+// error — never a vacuous verdict.
 //
 // The winner stays alive as a Session: FindAll enumeration and
 // NextModel sweeps keep re-solving on the winning solver under blocking
@@ -219,35 +217,27 @@ func Run(q Query, cfg Config, rec *obs.Rec) (*Session, error) {
 	raceChk := cancel.Merge(cfg.Check, st.stop.Check())
 
 	nSAT := cfg.workers()
-	satSolvers := make([]*sat.Solver, 0, nSAT)
-	var satMu sync.Mutex
-
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go runBDD(q, st, raceChk, &wg)
-	go runSATPool(q, st, raceChk, nSAT, &satMu, &satSolvers, &wg)
+	go runSATPool(q, st, raceChk, nSAT, &wg)
 	wg.Wait()
 	stopPhase()
 
-	widx := st.winner.Load()
-	outcome := obs.PortfolioStats{Races: 1}
-	satMu.Lock()
-	for _, s := range satSolvers {
-		sst := s.Stats()
-		outcome.ClausesShared += sst.Exported
-		outcome.ClausesImported += sst.Imported
-	}
-	started := int64(1 + len(satSolvers)) // BDD plus every launched worker
-	satMu.Unlock()
-	if widx < 0 {
+	if st.winner.Load() < 0 {
 		err := st.failure.Err()
 		if err == nil {
 			err = ErrNoStrategy
 		}
 		return nil, err
 	}
-	outcome.WinsBy = map[string]int64{st.res.live.label(): 1}
-	outcome.LoserAborts = started - 1
+	// Every participant but the winner is a loser: the BDD strategy plus
+	// nSAT workers, minus one.
+	outcome := obs.PortfolioStats{
+		Races:       1,
+		WinsBy:      map[string]int64{st.res.live.label(): 1},
+		LoserAborts: int64(nSAT),
+	}
 	if t := st.claimed.Load(); t > 0 {
 		outcome.LoserAbortNs = time.Now().UnixNano() - t
 	}
@@ -356,8 +346,8 @@ func runBDD(q Query, st *state, chk cancel.Check, wg *sync.WaitGroup) {
 }
 
 // runSATPool is the SAT strategy: encode once, clone the solver per
-// worker, diversify, and race the clones with clause sharing.
-func runSATPool(q Query, st *state, chk cancel.Check, n int, mu *sync.Mutex, solvers *[]*sat.Solver, wg *sync.WaitGroup) {
+// worker, diversify, and race the clones independently.
+func runSATPool(q Query, st *state, chk cancel.Check, n int, wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer lost(st)
 
@@ -366,7 +356,6 @@ func runSATPool(q Query, st *state, chk cancel.Check, n int, mu *sync.Mutex, sol
 
 	// Clone every worker before any of them starts solving: Clone reads
 	// the base solver's state, which worker 0 mutates once racing.
-	ex := newExchange(n)
 	workers := make([]*sat.Solver, n)
 	for w := 0; w < n; w++ {
 		if w == 0 {
@@ -376,11 +365,7 @@ func runSATPool(q Query, st *state, chk cancel.Check, n int, mu *sync.Mutex, sol
 			diversify(workers[w], w)
 		}
 		workers[w].Interrupt = chk
-		wireExchange(workers[w], ex, w, st)
 	}
-	mu.Lock()
-	*solvers = append(*solvers, workers...)
-	mu.Unlock()
 
 	var inner sync.WaitGroup
 	for w := 0; w < n; w++ {
@@ -394,16 +379,6 @@ func runSATPool(q Query, st *state, chk cancel.Check, n int, mu *sync.Mutex, sol
 		}(w, &s)
 	}
 	inner.Wait()
-
-	// Detach the exchange from the winner so the enumeration session
-	// neither exports to nor imports from a dead pool.
-	if idx := st.winner.Load(); idx >= 1 {
-		mu.Lock()
-		winner := (*solvers)[idx-1]
-		mu.Unlock()
-		winner.LearnHook = nil
-		winner.ImportHook = nil
-	}
 }
 
 // diversify perturbs a cloned worker's search heuristics. Worker 0 (the
@@ -414,18 +389,4 @@ func diversify(s *sat.Solver, w int) {
 	s.RandFreq = 0.02 * float64(w)
 	s.VarDecay = 0.95 - 0.02*float64(w%3)
 	s.ScramblePolarity(uint64(w) * 0x2545f4914f6cdd1d)
-}
-
-// wireExchange connects a worker to the clause exchange. The import hook
-// checks the race's stop flag first: a shared clause must never land in
-// a cancelled worker, so a worker whose race is over always imports
-// nothing.
-func wireExchange(s *sat.Solver, ex *exchange, w int, st *state) {
-	s.LearnHook = func(lits []sat.Lit) { ex.publish(w, lits) }
-	s.ImportHook = func() [][]sat.Lit {
-		if st.stop.Stopped() {
-			return nil
-		}
-		return ex.take(w)
-	}
 }

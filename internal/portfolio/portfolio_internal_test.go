@@ -6,68 +6,9 @@ import (
 
 	"zen-go/internal/core"
 	"zen-go/internal/obs"
-	"zen-go/internal/sat"
 )
 
 func testRec() *obs.Rec { return obs.Begin(nil, nil, "portfolio", "test") }
-
-func lits(vs ...int) []sat.Lit {
-	ls := make([]sat.Lit, len(vs))
-	for i, v := range vs {
-		ls[i] = sat.MkLit(v, false)
-	}
-	return ls
-}
-
-func TestExchangeExcludesOwnClauses(t *testing.T) {
-	ex := newExchange(2)
-	ex.publish(0, lits(0))
-	ex.publish(1, lits(1))
-	got := ex.take(0)
-	if len(got) != 1 || got[0][0] != sat.MkLit(1, false) {
-		t.Fatalf("worker 0 take = %v, want only worker 1's clause", got)
-	}
-	if again := ex.take(0); again != nil {
-		t.Fatalf("second take must be empty (cursor advanced), got %v", again)
-	}
-	// Worker 1 sees worker 0's clause but not its own.
-	got = ex.take(1)
-	if len(got) != 1 || got[0][0] != sat.MkLit(0, false) {
-		t.Fatalf("worker 1 take = %v, want only worker 0's clause", got)
-	}
-}
-
-func TestExchangeCap(t *testing.T) {
-	ex := newExchange(2)
-	for i := 0; i < maxPoolClauses+100; i++ {
-		ex.publish(0, lits(i%7))
-	}
-	if n := len(ex.clauses); n != maxPoolClauses {
-		t.Fatalf("pool holds %d clauses, cap is %d", n, maxPoolClauses)
-	}
-}
-
-// TestImportGateAfterStop is the clause-routing soundness check of the
-// ISSUE: a shared clause must never land in a worker whose race has been
-// cancelled. The import hook is gated on the race's stop flag.
-func TestImportGateAfterStop(t *testing.T) {
-	st := &state{}
-	st.winner.Store(-1)
-	ex := newExchange(2)
-	s := sat.New()
-	s.NewVar()
-	wireExchange(s, ex, 0, st)
-
-	ex.publish(1, lits(0))
-	if got := s.ImportHook(); len(got) != 1 {
-		t.Fatalf("before stop: import = %v, want 1 clause", got)
-	}
-	ex.publish(1, lits(0))
-	st.stop.Trigger(nil)
-	if got := s.ImportHook(); got != nil {
-		t.Fatalf("after stop: import = %v, want nil (stopped workers import nothing)", got)
-	}
-}
 
 func bv8Query(build func(b *core.Builder, x *core.Node, ty *core.Type) *core.Node) (Query, int32) {
 	b := core.NewBuilder()
@@ -109,6 +50,24 @@ func TestRunSat(t *testing.T) {
 	}
 	if out.LoserAborts < 0 || out.LoserAbortNs < 0 {
 		t.Fatalf("negative loser telemetry: %+v", out)
+	}
+}
+
+// TestRunLoserAbortsCountsParticipants pins the race telemetry: every
+// participant but the winner (the BDD strategy and two SAT workers, less
+// one) counts as a loser, whichever strategy wins.
+func TestRunLoserAbortsCountsParticipants(t *testing.T) {
+	q, _ := bv8Query(func(b *core.Builder, x *core.Node, ty *core.Type) *core.Node {
+		return b.Lt(x, b.BVConst(ty, 9))
+	})
+	rec := testRec()
+	defer rec.End()
+	sess, err := Run(q, Config{SATWorkers: 2}, rec)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got := sess.Outcome().LoserAborts; got != 2 {
+		t.Fatalf("LoserAborts = %d, want 2 (3 participants minus the winner)", got)
 	}
 }
 

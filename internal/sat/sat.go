@@ -131,24 +131,6 @@ type Solver struct {
 	// distinct search trees.
 	RandFreq float64
 	Seed     uint64
-
-	// LearnHook, when non-nil, receives a copy of every learned clause of
-	// length at most ShareLimit (0 selects the default 8). Learned clauses
-	// are consequences of the problem clauses alone — assumptions enter
-	// search as pseudo-decisions above level 0, so they never contaminate
-	// the level-0 facts that conflict analysis elides — which makes them
-	// sound to share with any solver holding the same problem clauses.
-	LearnHook  func([]Lit)
-	ShareLimit int
-
-	// ImportHook, when non-nil, is drained at Solve entry and at every
-	// restart (after backtracking to level 0): each returned clause is
-	// attached as a learned clause. Clauses must be consequences of the
-	// problem clauses (e.g. exported by another worker's LearnHook).
-	ImportHook func() [][]Lit
-
-	imported int64
-	exported int64
 }
 
 // interruptGas is the number of quiet search-loop iterations (no
@@ -200,8 +182,6 @@ type Stats struct {
 	Propagations int64
 	Conflicts    int64
 	Restarts     int64
-	Imported     int64 // clauses accepted from ImportHook
-	Exported     int64 // clauses handed to LearnHook
 }
 
 // Stats returns a snapshot of the solver's counters.
@@ -214,8 +194,6 @@ func (s *Solver) Stats() Stats {
 		Propagations: s.propagations,
 		Conflicts:    s.conflicts,
 		Restarts:     s.restarts,
-		Imported:     s.imported,
-		Exported:     s.exported,
 	}
 }
 
@@ -542,9 +520,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		s.unsat = true
 		return Unsat
 	}
-	if !s.drainImports() {
-		return Unsat
-	}
 
 	restart := int64(1)
 	budget := 100 * luby(restart)
@@ -580,10 +555,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				return Unsat
 			}
 			learned, bt := s.analyze(confl)
-			if s.LearnHook != nil && len(learned) <= s.shareLimit() {
-				s.LearnHook(append([]Lit(nil), learned...))
-				s.exported++
-			}
 			s.cancelUntil(bt)
 			if len(learned) == 1 {
 				s.enqueue(learned[0], nilClause)
@@ -608,17 +579,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				restart++
 				s.restarts++
 				budget += 100 * luby(restart)
-				if s.ImportHook != nil {
-					// Foreign clauses attach at level 0, so a restart that
-					// imports backtracks all the way; the search loop
-					// re-places the assumptions afterwards.
-					s.cancelUntil(0)
-					if !s.drainImports() {
-						return Unsat
-					}
-				} else {
-					s.cancelUntil(s.baseLevel(len(assumptions)))
-				}
+				s.cancelUntil(s.baseLevel(len(assumptions)))
 			}
 			continue
 		}

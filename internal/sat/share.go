@@ -1,21 +1,18 @@
 package sat
 
 // This file holds the portfolio-facing surface of the solver: worker
-// cloning, clause import, and the diversification PRNG. A parallel SAT
-// portfolio (internal/portfolio) clones one encoded solver per worker,
-// perturbs each clone's search (seed, decay, phases), and wires
-// LearnHook/ImportHook into a shared clause exchange. Sharing is sound
-// because learned clauses are consequences of the problem clauses alone:
-// assumptions enter search as pseudo-decisions above level 0 and appear
-// (negated) inside learned clauses rather than being silently assumed.
+// cloning and the diversification PRNG. A parallel SAT portfolio
+// (internal/portfolio) clones one encoded solver per worker and perturbs
+// each clone's search (seed, decay, phases); the clones then race
+// independently, sharing nothing.
 
 // Clone returns a deep copy of the solver, valid for independent use
 // from another goroutine. Any in-progress search is undone first
 // (backtrack to decision level 0); level-0 facts, problem clauses, and
 // learned clauses carry over, as do activities and saved phases, so a
 // clone resumes from the same logical state. Search counters reset so a
-// worker's Stats report only its own effort. Hooks (Interrupt,
-// LearnHook, ImportHook) do not carry over: they close over the parent.
+// worker's Stats report only its own effort. The Interrupt hook does not
+// carry over: it closes over the parent.
 func (s *Solver) Clone() *Solver {
 	s.cancelUntil(0)
 	c := &Solver{
@@ -40,7 +37,6 @@ func (s *Solver) Clone() *Solver {
 		VarDecay:     s.VarDecay,
 		RandFreq:     s.RandFreq,
 		Seed:         s.Seed,
-		ShareLimit:   s.ShareLimit,
 	}
 	for i := range s.clauses {
 		cl := &s.clauses[i]
@@ -87,73 +83,4 @@ func (s *Solver) nextRand() uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-func (s *Solver) shareLimit() int {
-	if s.ShareLimit > 0 {
-		return s.ShareLimit
-	}
-	return 8
-}
-
-// drainImports pulls foreign learned clauses from ImportHook and attaches
-// them at decision level 0. It reports false when an import exposed a
-// top-level contradiction (the formula is unsatisfiable). Callers must be
-// at decision level 0.
-func (s *Solver) drainImports() bool {
-	if s.ImportHook == nil {
-		return true
-	}
-	for _, lits := range s.ImportHook() {
-		if !s.importClause(lits) {
-			s.unsat = true
-			return false
-		}
-	}
-	return true
-}
-
-// importClause attaches one foreign learned clause, normalizing against
-// level-0 facts exactly like AddClause but marking the result learned so
-// reduceDB can age it out. It reports false on a top-level contradiction.
-func (s *Solver) importClause(lits []Lit) bool {
-	norm := make([]Lit, 0, len(lits))
-	seen := map[Lit]bool{}
-	for _, l := range lits {
-		if l.Var() >= s.numVars {
-			// A clause can mention variables the importing worker has not
-			// allocated only if the workers diverged; drop it defensively.
-			return true
-		}
-		switch s.value(l) {
-		case lTrue:
-			return true // already satisfied at top level
-		case lFalse:
-			continue
-		}
-		if seen[l.Not()] {
-			return true // tautology
-		}
-		if !seen[l] {
-			seen[l] = true
-			norm = append(norm, l)
-		}
-	}
-	switch len(norm) {
-	case 0:
-		return false
-	case 1:
-		if !s.enqueue(norm[0], nilClause) {
-			return false
-		}
-		if s.propagate() != nilClause {
-			return false
-		}
-		s.imported++
-		return true
-	}
-	s.attach(norm, true)
-	s.numLearned++
-	s.imported++
-	return true
 }

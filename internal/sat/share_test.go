@@ -2,7 +2,6 @@ package sat
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -128,123 +127,27 @@ func TestDiversifiedWorkersAgree(t *testing.T) {
 	}
 }
 
-// TestExportImportRoundTrip wires two clones of one formula into a tiny
-// clause exchange and checks that clauses flow, counters move, and the
-// verdict is unchanged.
-func TestExportImportRoundTrip(t *testing.T) {
-	base := New()
-	pigeonhole(base, 7, 6)
-
-	var mu sync.Mutex
-	var pool [][]Lit
-	exporter := base.Clone()
-	exporter.ShareLimit = 32
-	exporter.LearnHook = func(lits []Lit) {
-		mu.Lock()
-		pool = append(pool, lits)
-		mu.Unlock()
-	}
-	if exporter.Solve() != Unsat {
-		t.Fatal("PHP(7,6) should be unsat")
-	}
-	if exporter.Stats().Exported == 0 {
-		t.Fatal("exporter produced no shared clauses")
-	}
-	mu.Lock()
-	n := len(pool)
-	mu.Unlock()
-	if n == 0 {
-		t.Fatal("pool is empty")
-	}
-
-	importer := base.Clone()
-	importer.ImportHook = func() [][]Lit {
-		mu.Lock()
-		defer mu.Unlock()
-		out := pool
-		pool = nil
-		return out
-	}
-	if importer.Solve() != Unsat {
-		t.Fatal("importer should also prove unsat")
-	}
-	if importer.Stats().Imported == 0 {
-		t.Fatal("importer accepted no clauses")
-	}
-}
-
-func TestImportUnitPropagates(t *testing.T) {
-	s := New()
-	a, b := s.NewVar(), s.NewVar()
-	// a -> b
-	s.AddClause(MkLit(a, true), MkLit(b, false))
-	fed := false
-	s.ImportHook = func() [][]Lit {
-		if fed {
-			return nil
-		}
-		fed = true
-		return [][]Lit{{MkLit(a, false)}}
-	}
-	if s.Solve() != Sat {
-		t.Fatal("should be sat")
-	}
-	if !s.Model(a) || !s.Model(b) {
-		t.Fatal("imported unit a should force b via a -> b")
-	}
-}
-
-func TestImportContradictionIsUnsat(t *testing.T) {
-	s := New()
-	a := s.NewVar()
-	fed := false
-	s.ImportHook = func() [][]Lit {
-		if fed {
-			return nil
-		}
-		fed = true
-		return [][]Lit{{MkLit(a, false)}, {MkLit(a, true)}}
-	}
-	if s.Solve() != Unsat {
-		t.Fatal("contradictory imports should yield Unsat")
-	}
-}
-
-// TestImportUnderAssumptions checks the restart-time import path: the
-// solver backtracks to level 0 to attach foreign clauses and then
-// re-places its assumptions, so verdicts under assumptions stay correct.
-func TestImportUnderAssumptions(t *testing.T) {
+// TestRestartUnderAssumptions checks the restart path under assumptions:
+// a restart backtracks only down to the assumption levels, so a
+// diversified clone keeps its verdict under assumptions and stays
+// reusable without them.
+func TestRestartUnderAssumptions(t *testing.T) {
 	base := New()
 	pigeonhole(base, 7, 6)
 	sel := base.NewVar()
 
-	var mu sync.Mutex
-	var pool [][]Lit
-	exporter := base.Clone()
-	exporter.LearnHook = func(lits []Lit) {
-		mu.Lock()
-		pool = append(pool, lits)
-		mu.Unlock()
-	}
-	if exporter.Solve(MkLit(sel, false)) != Unsat {
+	s := base.Clone()
+	s.Seed, s.RandFreq = 7, 0.05
+	if s.Solve(MkLit(sel, false)) != Unsat {
 		t.Fatal("PHP(7,6) under an irrelevant assumption should be unsat")
 	}
-
-	importer := base.Clone()
-	importer.ImportHook = func() [][]Lit {
-		mu.Lock()
-		defer mu.Unlock()
-		out := pool
-		pool = nil
-		return out
-	}
-	if importer.Solve(MkLit(sel, false)) != Unsat {
-		t.Fatal("importer under assumption should be unsat")
+	if s.Stats().Restarts == 0 {
+		t.Fatal("PHP(7,6) should take at least one restart")
 	}
 	// The selector is pure decoration: without assuming it the formula is
 	// still unsat, and the solver must remain reusable.
-	if importer.Solve() != Unsat {
-		t.Fatal("importer without assumption should be unsat")
+	if s.Solve() != Unsat {
+		t.Fatal("solve without the assumption should be unsat")
 	}
 }
 

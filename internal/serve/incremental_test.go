@@ -423,6 +423,81 @@ func TestHTTPInstanceSurface(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsBadRulePrefixes: a prefix longer than 32 or with host
+// bits set would silently widen a rule to every address or make it match
+// none, so create and update both reject it as bad_rule, naming the rule
+// and the field, and a rejected update leaves the generation alone.
+func TestHTTPRejectsBadRulePrefixes(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	post := func(path, body string) (int, string) {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	wantBadRule := func(what string, code int, body string, names ...string) {
+		t.Helper()
+		if code != http.StatusBadRequest || !strings.Contains(body, `"code": "bad_rule"`) {
+			t.Fatalf("%s: %d %s, want 400 bad_rule", what, code, body)
+		}
+		for _, n := range names {
+			if !strings.Contains(body, n) {
+				t.Fatalf("%s: message does not name %q: %s", what, n, body)
+			}
+		}
+	}
+
+	// 10.0.0.0 is 167772160; 10.0.0.1 is 167772161.
+	for _, tc := range []struct {
+		name, family, rules string
+		names               []string
+	}{
+		{"long", "acl", `[{"Permit":true},{"Permit":true,"SrcPfx":{"Address":0,"Length":33}}]`,
+			[]string{"rule 1", "SrcPfx", "length 33"}},
+		{"hostbits", "acl", `[{"Permit":true,"DstPfx":{"Address":167772161,"Length":8}}]`,
+			[]string{"rule 0", "DstPfx", "host bits"}},
+		{"rmlong", "routemap", `[{"Permit":true,"MatchPrefixes":[{"Pfx":{"Address":167772160,"Length":8},"GE":8,"LE":32},{"Pfx":{"Address":167772160,"Length":40},"GE":8,"LE":32}]}]`,
+			[]string{"clause 0", "MatchPrefixes[1].Pfx", "length 40"}},
+		{"rmhostbits", "routemap", `[{"Permit":true,"MatchPrefixes":[{"Pfx":{"Address":167772161,"Length":0},"GE":0,"LE":32}]}]`,
+			[]string{"clause 0", "MatchPrefixes[0].Pfx", "host bits"}},
+	} {
+		code, body := post("/v1/instances", `{"name":"`+tc.name+`","family":"`+tc.family+`","rules":`+tc.rules+`}`)
+		wantBadRule("create "+tc.name, code, body, tc.names...)
+	}
+
+	code, body := post("/v1/instances",
+		`{"name":"web","family":"acl","rules":[{"Permit":true,"DstPfx":{"Address":167772160,"Length":8}}]}`)
+	if code != http.StatusOK || !strings.Contains(body, `"verdict": "created"`) {
+		t.Fatalf("create: %d %s", code, body)
+	}
+	// The good insert ahead of the bad rule must not land either: a
+	// rejected update leaves the instance as it was.
+	code, body = post("/v1/update", `{"instance":"web","deltas":[`+
+		`{"op":"insert","index":1,"rule":{"Permit":false}},`+
+		`{"op":"modify","index":0,"rule":{"Permit":true,"DstPfx":{"Address":167772160,"Length":33}}}]}`)
+	wantBadRule("update modify", code, body, "delta 1", "DstPfx", "length 33")
+	code, body = post("/v1/update",
+		`{"instance":"web","deltas":[{"op":"insert","index":0,"rule":{"Permit":false,"SrcPfx":{"Address":167772161,"Length":24}}}]}`)
+	wantBadRule("update insert", code, body, "delta 0", "SrcPfx", "host bits")
+
+	resp, err := http.Get(ts.URL + "/v1/instances")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(b), `"generation": 0`) || !strings.Contains(string(b), `"rules": 1`) ||
+		strings.Contains(string(b), `"long"`) {
+		t.Fatalf("rejected creates or updates changed the instances: %s", b)
+	}
+}
+
 // TestLintEndpoint: GET /v1/lint serves the zenlint finding schema.
 func TestLintEndpoint(t *testing.T) {
 	s := newTestServer(t, Config{})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -192,10 +193,51 @@ func parseRMClauses(raws []json.RawMessage) ([]routemap.Clause, error) {
 
 // decodeRule strictly decodes one rule; unknown fields are errors so a
 // typo'd match field fails loudly instead of silently widening a rule.
+// Prefixes are checked too: one that decodes but would change what the
+// rule matches is a *prefixError.
 func decodeRule(raw json.RawMessage, into any) error {
 	dec := json.NewDecoder(strings.NewReader(string(raw)))
 	dec.DisallowUnknownFields()
-	return dec.Decode(into)
+	if err := dec.Decode(into); err != nil {
+		return err
+	}
+	switch r := into.(type) {
+	case *acl.Rule:
+		if err := checkPrefix("SrcPfx", r.SrcPfx); err != nil {
+			return err
+		}
+		return checkPrefix("DstPfx", r.DstPfx)
+	case *routemap.Clause:
+		for i, m := range r.MatchPrefixes {
+			if err := checkPrefix(fmt.Sprintf("MatchPrefixes[%d].Pfx", i), m.Pfx); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// prefixError is a rule prefix that would silently change what the rule
+// matches: a length over 32 zeroes the mask (the rule matches every
+// address or none), and host bits make Contains false everywhere. Create
+// and update both answer it with bad_rule.
+type prefixError struct {
+	field  string
+	prefix pkt.Prefix
+}
+
+func (e *prefixError) Error() string {
+	if e.prefix.Length > 32 {
+		return fmt.Sprintf("%s: prefix length %d exceeds 32", e.field, e.prefix.Length)
+	}
+	return fmt.Sprintf("%s: prefix %s has host bits set", e.field, e.prefix)
+}
+
+func checkPrefix(field string, p pkt.Prefix) error {
+	if p.Length > 32 || p.Address&^p.Mask() != 0 {
+		return &prefixError{field: field, prefix: p}
+	}
+	return nil
 }
 
 func buildACLModel(rules []acl.Rule) zen.Queryable {
@@ -444,7 +486,12 @@ func (s *Server) doUpdate(ctx context.Context, req *UpdateRequest) *UpdateRespon
 		res, err = s.updateRM(ctx, in, req.Deltas)
 	}
 	if err != nil {
-		return failUpdate(http.StatusBadRequest, ErrBadDelta, "%v", err)
+		code := ErrBadDelta
+		var pe *prefixError
+		if errors.As(err, &pe) {
+			code = ErrBadRule
+		}
+		return failUpdate(http.StatusBadRequest, code, "%v", err)
 	}
 	s.updates.Add(1)
 	s.deltaReuse.Add(int64(res.Reused))

@@ -84,9 +84,12 @@ echo "== zenfuzz smoke (deterministic 2k-query seven-engine + presolve parity ca
 go run ./cmd/zenfuzz -n 2000 -seed 1 -progress 0
 
 echo "== go test -fuzz (10s per target)"
-for target in FuzzDifferential FuzzListHeavy FuzzWide; do
-    echo "-- $target"
-    go test ./internal/fuzz -run '^$' -fuzz "^${target}\$" -fuzztime 10s
+for target in ./internal/fuzz:FuzzDifferential ./internal/fuzz:FuzzListHeavy \
+    ./internal/fuzz:FuzzWide ./internal/serve:FuzzCompilePredicate; do
+    pkg=${target%%:*}
+    fn=${target#*:}
+    echo "-- $fn ($pkg)"
+    go test "$pkg" -run '^$' -fuzz "^${fn}\$" -fuzztime 10s
 done
 
 echo "ok: all checks passed"

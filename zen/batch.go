@@ -86,53 +86,24 @@ func (fn *Fn[I, O]) evaluateBatch(o *Options, chk cancel.Check, inputs []I) []O 
 	defer rec.End()
 	o.measureDAG(rec, fn.out.n)
 	rt := reflect.TypeOf((*O)(nil)).Elem()
+	id := fn.arg.n.VarID
 	out := make([]O, len(inputs))
-
-	stop := rec.Phase("plan")
-	plan, compiled, err := planFor(fn.out.n, []*core.Node{fn.arg.n})
-	stop()
-	if err != nil {
-		// Outside the bitslice fragment (lists): scalar fallback with
-		// identical semantics.
-		rec.Add(obs.Snapshot{Bitslice: obs.BitsliceStats{Fallbacks: 1, Packets: int64(len(inputs))}})
-		defer rec.Phase("interp")()
-		for i, x := range inputs {
-			env := interp.Env{fn.arg.n.VarID: liftValue(reflectValue(x))}
-			out[i] = toGo(interp.EvalCheck(fn.out.n, env, chk), rt).Interface().(O)
-		}
-		return out
-	}
-	if compiled {
-		rec.Add(obs.Snapshot{Bitslice: obs.BitsliceStats{
-			Plans:    1,
-			PlanOps:  int64(plan.NumOps()),
-			PlanRegs: int64(plan.NumRegs()),
-		}})
-	}
-
-	regs := plan.AcquireRegs()
-	defer plan.ReleaseRegs(regs)
-	stop = rec.Phase("run")
-	batches := int64(0)
-	for base := 0; base < len(inputs); base += bitslice.Lanes {
-		chk.Point()
-		n := len(inputs) - base
-		if n > bitslice.Lanes {
-			n = bitslice.Lanes
-		}
-		for lane := 0; lane < n; lane++ {
-			if berr := plan.Bind(regs, fn.arg.n.VarID, lane, liftValue(reflectValue(inputs[base+lane]))); berr != nil {
-				panic("zen: EvaluateBatch: " + berr.Error())
+	var env interp.Env // the fallback's environment, rebound per input
+	err := runBatch(rec, chk, fn.out.n, []*core.Node{fn.arg.n}, len(inputs),
+		func(i int) interp.Env {
+			if env == nil {
+				env = make(interp.Env, 1)
 			}
-		}
-		plan.Run(regs)
-		for lane := 0; lane < n; lane++ {
-			out[base+lane] = toGo(plan.Lane(regs, lane), rt).Interface().(O)
-		}
-		batches++
+			env[id] = liftValue(reflectValue(inputs[i]))
+			return env
+		},
+		func(p *bitslice.Plan, regs []uint64, lane, i int) error {
+			return p.Bind(regs, id, lane, liftValue(reflectValue(inputs[i])))
+		},
+		func(i int, v *interp.Value) { out[i] = toGo(v, rt).Interface().(O) })
+	if err != nil {
+		panic("zen: EvaluateBatch: " + err.Error())
 	}
-	stop()
-	rec.Add(obs.Snapshot{Bitslice: obs.BitsliceStats{Batches: batches, Packets: int64(len(inputs))}})
 	return out
 }
 
@@ -150,23 +121,45 @@ func EvaluateBatchRaw(ctx context.Context, q Queryable, envs []RawModel, opts ..
 	rec := obs.Begin(o.Stats, o.Tracer, "bitslice", "evaluate-batch")
 	defer rec.End()
 
-	root, args := q.QueryOut(), q.QueryArgs()
 	out := make([]*interp.Value, len(envs))
-
-	stop := rec.Phase("plan")
-	plan, compiled, perr := planFor(root, args)
-	stop()
-	if perr != nil {
-		rec.Add(obs.Snapshot{Bitslice: obs.BitsliceStats{Fallbacks: 1, Packets: int64(len(envs))}})
-		defer rec.Phase("interp")()
-		for i, env := range envs {
-			ienv := make(interp.Env, len(env))
-			for id, v := range env {
-				ienv[id] = v
+	err = runBatch(rec, chk, q.QueryOut(), q.QueryArgs(), len(envs),
+		func(i int) interp.Env { return envs[i] },
+		func(p *bitslice.Plan, regs []uint64, lane, i int) error {
+			for id, v := range envs[i] {
+				if err := p.Bind(regs, id, lane, v); err != nil {
+					return err
+				}
 			}
-			out[i] = interp.EvalCheck(root, ienv, chk)
+			return nil
+		},
+		func(i int, v *interp.Value) { out[i] = v })
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// runBatch evaluates root, a model's result over args, on n inputs: 64
+// per step through the model's bitslice plan, or one at a time in the
+// interpreter when the model is outside the plan fragment (lists). Input
+// i reaches the plan through bind (one lane) or the interpreter through
+// env; its result goes to set. Cancellation is polled between steps. The
+// plan, fallback, batch and packet telemetry goes to rec. A bind error
+// stops the run and is returned.
+func runBatch(rec *obs.Rec, chk cancel.Check, root *core.Node, args []*core.Node, n int,
+	env func(i int) interp.Env,
+	bind func(p *bitslice.Plan, regs []uint64, lane, i int) error,
+	set func(i int, v *interp.Value)) error {
+	stop := rec.Phase("plan")
+	plan, compiled, err := planFor(root, args)
+	stop()
+	if err != nil {
+		rec.Add(obs.Snapshot{Bitslice: obs.BitsliceStats{Fallbacks: 1, Packets: int64(n)}})
+		defer rec.Phase("interp")()
+		for i := 0; i < n; i++ {
+			set(i, interp.EvalCheck(root, env(i), chk))
 		}
-		return out, nil
+		return nil
 	}
 	if compiled {
 		rec.Add(obs.Snapshot{Bitslice: obs.BitsliceStats{
@@ -179,28 +172,22 @@ func EvaluateBatchRaw(ctx context.Context, q Queryable, envs []RawModel, opts ..
 	regs := plan.AcquireRegs()
 	defer plan.ReleaseRegs(regs)
 	stop = rec.Phase("run")
+	defer stop()
 	batches := int64(0)
-	for base := 0; base < len(envs); base += bitslice.Lanes {
+	for base := 0; base < n; base += bitslice.Lanes {
 		chk.Point()
-		n := len(envs) - base
-		if n > bitslice.Lanes {
-			n = bitslice.Lanes
-		}
-		for lane := 0; lane < n; lane++ {
-			for id, v := range envs[base+lane] {
-				if berr := plan.Bind(regs, id, lane, v); berr != nil {
-					stop()
-					return nil, berr
-				}
+		lanes := min(n-base, bitslice.Lanes)
+		for lane := 0; lane < lanes; lane++ {
+			if err := bind(plan, regs, lane, base+lane); err != nil {
+				return err
 			}
 		}
 		plan.Run(regs)
-		for lane := 0; lane < n; lane++ {
-			out[base+lane] = plan.Lane(regs, lane)
+		for lane := 0; lane < lanes; lane++ {
+			set(base+lane, plan.Lane(regs, lane))
 		}
 		batches++
 	}
-	stop()
-	rec.Add(obs.Snapshot{Bitslice: obs.BitsliceStats{Batches: batches, Packets: int64(len(envs))}})
-	return out, nil
+	rec.Add(obs.Snapshot{Bitslice: obs.BitsliceStats{Batches: batches, Packets: int64(n)}})
+	return nil
 }

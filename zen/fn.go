@@ -20,8 +20,8 @@ const (
 	// SAT solves by bit-blasting to CNF and running CDCL search — the
 	// analogue of the paper's SMT(bitvector) backend.
 	SAT
-	// Portfolio races the BDD backend against a pool of diversified,
-	// clause-sharing SAT workers and answers with the first definitive
+	// Portfolio races the BDD backend against a pool of independent,
+	// diversified SAT workers and answers with the first definitive
 	// verdict; the losers are cancelled. See internal/portfolio and
 	// docs/portfolio.md.
 	Portfolio
@@ -84,7 +84,7 @@ func WithListBound(k int) Option { return func(o *Options) { o.ListBound = k } }
 const DefaultListBound = 3
 
 // WithPortfolio selects the Portfolio backend: the analysis races BDD
-// against a clause-sharing pool of diversified SAT workers, answers with
+// against a pool of independent, diversified SAT workers, answers with
 // the first definitive verdict, and cancels the losers. Equivalent to
 // WithBackend(Portfolio).
 func WithPortfolio() Option { return func(o *Options) { o.Backend = Portfolio } }
