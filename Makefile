@@ -16,11 +16,12 @@ race:
 # race-tier is the named concurrency gate: go vet plus race-enabled tests
 # over the packages where data races are a live hazard — the query
 # service, the racing portfolio backend, the metrics recorder they both
-# write to, the presolve engine they all call, and the bitsliced batch
-# evaluator whose plans are shared across concurrent streams. Much faster
+# write to, the presolve engine they all call, the bitsliced batch
+# evaluator whose plans are shared across concurrent streams, and the
+# hash-cons builder every goroutine interns into while it sweeps. Much faster
 # than `make race`; check.sh runs this tier first so a race in the hot
 # layers fails before the full suite spins up.
-RACE_TIER = ./internal/serve/... ./internal/portfolio/... ./internal/obs/... ./internal/absint/... ./internal/bitslice/...
+RACE_TIER = ./internal/serve/... ./internal/portfolio/... ./internal/obs/... ./internal/absint/... ./internal/bitslice/... ./internal/core/...
 race-tier:
 	$(GO) vet $(RACE_TIER)
 	$(GO) test -race -count=1 $(RACE_TIER)

@@ -7,13 +7,14 @@
 // Policy equality — the expensive part of the original tool — is free here:
 // route maps applied to a shared symbolic route build hash-consed Zen
 // expression DAGs, so two policies are equal exactly when their DAG roots
-// are the same pointer.
+// are the same pointer (while both are held; see policies).
 package bonsai
 
 import (
 	"fmt"
 	"sort"
 
+	"zen-go/internal/core"
 	"zen-go/nets/bgp"
 	"zen-go/nets/routemap"
 	"zen-go/zen"
@@ -35,13 +36,7 @@ type Abstraction struct {
 // Compress partitions the network's routers and builds the abstract
 // network.
 func Compress(n *bgp.Network) *Abstraction {
-	shared := zen.Symbolic[bgp.Route]("bonsai.shared")
-	sigOf := func(rm *routemap.RouteMap) int64 {
-		if rm == nil {
-			return 0
-		}
-		return rm.Apply(shared).Raw().ID()
-	}
+	sigOf := newPolicies().id
 
 	// Initial partition: by origination behavior.
 	classOf := make(map[*bgp.Router]int, len(n.Routers))
@@ -115,7 +110,7 @@ func Compress(n *bgp.Network) *Abstraction {
 	seen := map[string]bool{}
 	for _, s := range n.Sessions {
 		fc, tc := classOf[s.From], classOf[s.To]
-		k := fmt.Sprintf("%d>%d|%d|%d", fc, tc, sigOfOrZero(shared, s.Export), sigOfOrZero(shared, s.Import))
+		k := fmt.Sprintf("%d>%d|%d|%d", fc, tc, sigOf(s.Export), sigOf(s.Import))
 		if seen[k] {
 			continue
 		}
@@ -125,11 +120,38 @@ func Compress(n *bgp.Network) *Abstraction {
 	return ab
 }
 
-func sigOfOrZero(shared zen.Value[bgp.Route], rm *routemap.RouteMap) int64 {
-	if rm == nil {
-		return 0
+// policies numbers route maps by behavior: equal policies applied to one
+// shared symbolic route build the same hash-consed DAG root. The builder
+// frees nodes nobody references, so a policy built after its equal twin
+// was dropped could get a fresh root; policies holds every root it has
+// numbered, which keeps the numbering stable for as long as it lives.
+type policies struct {
+	shared zen.Value[bgp.Route]
+	roots  map[*core.Node]int
+	of     map[*routemap.RouteMap]int
+}
+
+func newPolicies() *policies {
+	return &policies{
+		shared: zen.Symbolic[bgp.Route]("bonsai.shared"),
+		roots:  make(map[*core.Node]int),
+		of:     map[*routemap.RouteMap]int{nil: 0},
 	}
-	return rm.Apply(shared).Raw().ID()
+}
+
+// id returns the policy number of rm; 0 is the absent policy.
+func (p *policies) id(rm *routemap.RouteMap) int {
+	if id, ok := p.of[rm]; ok {
+		return id
+	}
+	root := rm.Apply(p.shared).Raw()
+	id, ok := p.roots[root]
+	if !ok {
+		id = len(p.roots) + 1
+		p.roots[root] = id
+	}
+	p.of[rm] = id
+	return id
 }
 
 func samePartition(n *bgp.Network, a, b map[*bgp.Router]int) bool {

@@ -1,6 +1,10 @@
 package absint
 
-import "zen-go/internal/core"
+import (
+	"math"
+
+	"zen-go/internal/core"
+)
 
 // defaultBudget bounds the number of node evaluations per Analysis, so
 // path-refined walks over adversarial DAGs degrade to top instead of
@@ -9,11 +13,15 @@ const defaultBudget = 1 << 20
 
 // Analysis evaluates abstract values over one DAG. The zero context
 // (nil *Env) is the memoized bottom-up pass; Assume derives refined
-// contexts from branch conditions for the top-down pass. An Analysis is
-// not safe for concurrent use; create one per walk.
+// contexts from branch conditions for the top-down pass. Index makes a
+// refined context cost only what its facts touch. An Analysis is not
+// safe for concurrent use; create one per walk.
 type Analysis struct {
-	memo   map[*core.Node]Value
+	memo   map[*core.Node]Value // context-free values of unindexed nodes
+	cone   *cone                // nil until Index
 	budget int
+	writer []*Env  // per dirty chunk: the context that copied it and may write it
+	stack  []int32 // markDirty scratch
 }
 
 // New returns an Analysis with the default evaluation budget.
@@ -21,12 +29,139 @@ func New() *Analysis {
 	return &Analysis{memo: make(map[*core.Node]Value), budget: defaultBudget}
 }
 
-// Env is a refinement context: facts assumed to hold on the current
-// path, plus a memo valid only under those facts. Envs are immutable
-// once returned by Assume.
+// cone is the dense index of the nodes reachable from one root. The
+// parents of node i within the cone are up[off[i]:off[i+1]]; height[i]
+// is its longest path to a leaf, so parents sit strictly higher.
+type cone struct {
+	idx     map[*core.Node]int32
+	off, up []int32
+	height  []int32
+	free    []Value // context-free values, valid where done
+	done    []bool
+	hasFact []bool // some context holds a fact about the node
+}
+
+// Cone summarizes the DAG an Analysis is indexed over.
+type Cone struct {
+	Nodes    int   // distinct nodes reachable from the root
+	FreeVars int   // input variables among them (list-case binders excluded)
+	MaxVar   int32 // highest variable id, binders included
+}
+
+// Index walks the cone of root once, giving each node a dense slot and
+// recording its parents. Afterwards a refined context tracks which
+// indexed nodes its facts reach (see Env), and Eval answers every other
+// node with its context-free value. That is exact: transfer reads the
+// context only through facts in a node's cone.
+// Nodes outside the index (built after the call) evaluate as before.
+// Index replaces any earlier index; contexts derived before the call
+// keep working, unindexed.
+func (a *Analysis) Index(root *core.Node) Cone {
+	c := &cone{idx: make(map[*core.Node]int32)}
+	var nodes []*core.Node
+	var height []int32
+	var edges [][2]int32 // (kid, parent)
+	var info Cone
+	vars := make(map[int32]bool)
+	bound := make(map[int32]bool)
+	var walk func(n *core.Node) int32
+	walk = func(n *core.Node) int32 {
+		if i, ok := c.idx[n]; ok {
+			return i
+		}
+		i := int32(len(nodes))
+		c.idx[n] = i
+		nodes = append(nodes, n)
+		height = append(height, 0)
+		if n.Op == core.OpVar {
+			vars[n.VarID] = true
+			info.MaxVar = max(info.MaxVar, n.VarID)
+		}
+		for _, b := range n.Bound {
+			bound[b.VarID] = true
+			info.MaxVar = max(info.MaxVar, b.VarID)
+		}
+		for _, k := range n.Kids {
+			j := walk(k)
+			edges = append(edges, [2]int32{j, i})
+			height[i] = max(height[i], height[j]+1)
+		}
+		return i
+	}
+	walk(root)
+	c.height = height
+	info.Nodes = len(nodes)
+	for id := range vars {
+		if !bound[id] {
+			info.FreeVars++
+		}
+	}
+	c.off = make([]int32, len(nodes)+1)
+	for _, e := range edges {
+		c.off[e[0]+1]++
+	}
+	for i := range nodes {
+		c.off[i+1] += c.off[i]
+	}
+	c.up = make([]int32, len(edges))
+	fill := append([]int32(nil), c.off[:len(nodes)]...)
+	for _, e := range edges {
+		c.up[fill[e[0]]] = e[1]
+		fill[e[0]]++
+	}
+	c.free = make([]Value, len(nodes))
+	c.done = make([]bool, len(nodes))
+	c.hasFact = make([]bool, len(nodes))
+	a.cone = c
+	a.writer = make([]*Env, (len(nodes)+chunkBits-1)/chunkBits)
+	return info
+}
+
+// Env is a refinement context: its own facts over a shared tail of its
+// parent's, and a memo. Over the Analysis index it tracks which nodes its
+// facts can reach: own holds the ancestors of its own facts, dirty those
+// of every fact along the chain. Both are exact up to height limit;
+// nodes above it evaluate in the context itself. Envs are immutable once
+// returned by Assume.
 type Env struct {
-	facts map[*core.Node]Value
-	memo  map[*core.Node]Value
+	parent *Env
+	facts  []fact
+	memo   map[*core.Node]Value
+	cone   *cone    // the index the sets refer to; nil: no index
+	dirty  []*chunk // per 512-node chunk, nil when empty; copy-on-write
+	own    []*chunk
+	limit  int32
+}
+
+type fact struct {
+	n *core.Node
+	v Value
+}
+
+const chunkBits = 512
+
+type chunk [chunkBits / 64]uint64
+
+func has(cs []*chunk, i int32) bool {
+	c := cs[i/chunkBits]
+	return c != nil && c[i%chunkBits/64]&(1<<(i%64)) != 0
+}
+
+// holder returns the context n (index slot i) must be evaluated under,
+// given e: nil when no fact along the chain reaches it, else the
+// innermost context whose own facts do. Between the two, n's value is
+// the same in every context, so they share one memo entry.
+func (a *Analysis) holder(e *Env, i int32) *Env {
+	if e == nil || i < 0 || e.cone != a.cone || a.cone.height[i] > e.limit {
+		return e
+	}
+	if !has(e.dirty, i) {
+		return nil
+	}
+	for !has(e.own, i) {
+		e = e.parent
+	}
+	return e
 }
 
 // Assume returns a context extending e (nil for the root context) with
@@ -35,11 +170,24 @@ type Env struct {
 // it decomposes into) as node-level facts. The second result is false
 // when the assumption contradicts e — i.e. cond cannot have that truth
 // value on this path, so the corresponding branch is unreachable.
-func (a *Analysis) Assume(e *Env, cond *core.Node, truth bool) (*Env, bool) {
-	ne := &Env{facts: make(map[*core.Node]Value, 4), memo: make(map[*core.Node]Value)}
-	if e != nil {
-		for n, v := range e.facts {
-			ne.facts[n] = v
+//
+// scope is the node the context will be used on (nil: any). Reach is
+// tracked only up to its height, which keeps a fact about a widely
+// shared node from marking the whole DAG above it; evaluation stays
+// exact for every node either way.
+func (a *Analysis) Assume(e *Env, cond *core.Node, truth bool, scope *core.Node) (*Env, bool) {
+	ne := &Env{parent: e, limit: math.MaxInt32}
+	if c := a.cone; c != nil && (e == nil || e.cone == c) {
+		ne.cone = c
+		if i, ok := c.idx[scope]; ok {
+			ne.limit = c.height[i]
+		}
+		ne.own = make([]*chunk, len(a.writer))
+		if e == nil {
+			ne.dirty = make([]*chunk, len(a.writer))
+		} else {
+			ne.dirty = append([]*chunk(nil), e.dirty...)
+			ne.limit = min(ne.limit, e.limit)
 		}
 	}
 	ok := a.assume(ne, cond, truth)
@@ -148,45 +296,158 @@ func (a *Analysis) assumeLt(e *Env, cond *core.Node, truth bool) bool {
 
 // refine meets a new fact about n into the context; false on contradiction.
 func (a *Analysis) refine(e *Env, n *core.Node, v Value) bool {
-	cur, ok := e.facts[n]
-	if !ok {
-		cur = a.Eval(n, e)
+	met := meet(a.Eval(n, e), v)
+	found := false
+	for i := range e.facts {
+		if e.facts[i].n == n {
+			e.facts[i].v, found = met, true
+		}
 	}
-	met := meet(cur, v)
-	e.facts[n] = met
+	if !found {
+		e.facts = append(e.facts, fact{n, met})
+	}
+	clear(e.memo) // values memoized before the fact may be too wide now
+	if e.cone != nil {
+		if i, ok := e.cone.idx[n]; ok {
+			e.cone.hasFact[i] = true
+			a.markDirty(e, i)
+		}
+	}
 	return !met.Empty
 }
 
-// Eval returns the abstract value of n under context e (nil for the
-// context-free bottom-up value). Results are memoized per context.
-func (a *Analysis) Eval(n *core.Node, e *Env) Value {
-	memo := a.memo
-	if e != nil {
-		if v, ok := e.facts[n]; ok {
-			return v
-		}
-		// A context-free singleton cannot be refined further: the node
-		// evaluates to that constant on every path, so contexts may share
-		// it. This keeps refined evaluation from re-walking the (often
-		// large) constant-folded regions of the cone per context.
-		if v, ok := a.memo[n]; ok && v.pinned() {
-			return v
-		}
-		memo = e.memo
+// markDirty adds i and its ancestors up to e's height limit to e's own
+// and dirty sets. The own set is closed under those ancestors, so the
+// walk stops at nodes already in it. Dirty chunks shared with the parent
+// context are copied before their first write.
+func (a *Analysis) markDirty(e *Env, i int32) {
+	c := e.cone
+	if c.height[i] > e.limit || has(e.own, i) {
+		return
 	}
-	if v, ok := memo[n]; ok {
+	set := func(i int32) {
+		k, bit := i/chunkBits, uint64(1)<<(i%64)
+		if e.own[k] == nil {
+			e.own[k] = new(chunk)
+		}
+		e.own[k][i%chunkBits/64] |= bit
+		if a.writer[k] != e {
+			d := new(chunk)
+			if old := e.dirty[k]; old != nil {
+				*d = *old
+			}
+			e.dirty[k], a.writer[k] = d, e
+		}
+		e.dirty[k][i%chunkBits/64] |= bit
+	}
+	set(i)
+	st := append(a.stack[:0], i)
+	for len(st) > 0 {
+		j := st[len(st)-1]
+		st = st[:len(st)-1]
+		for _, p := range c.up[c.off[j]:c.off[j+1]] {
+			if c.height[p] <= e.limit && !has(e.own, p) {
+				set(p)
+				st = append(st, p)
+			}
+		}
+	}
+	a.stack = st
+}
+
+// Eval returns the abstract value of n under context e (nil for the
+// context-free bottom-up value). Results are memoized per context; an
+// indexed node is evaluated under its holder.
+func (a *Analysis) Eval(n *core.Node, e *Env) Value {
+	i := a.slot(n)
+	if e = a.holder(e, i); e == nil {
+		return a.free(n, i)
+	}
+	if v, ok := e.memo[n]; ok {
 		return v
 	}
+	v, ok := a.fact(e, n, i)
+	if !ok {
+		// A context-free singleton cannot be refined further: the node
+		// evaluates to that constant on every path, so contexts share it.
+		if v = a.free(n, i); !v.pinned() {
+			v = a.step(n, e)
+		}
+	}
+	if e.memo == nil {
+		e.memo = make(map[*core.Node]Value)
+	}
+	e.memo[n] = v
+	return v
+}
+
+// Context returns the context a top-down walk should visit n under: the
+// holder of n in e (nil when no fact of e reaches n). n evaluates, and
+// every context a walk derives below it refines, exactly as under e, so
+// walkers share one visit per holder. Each refined visit is charged to
+// the evaluation budget; once that is spent, every visit gets nil, which
+// is sound (the nil context only knows less).
+func (a *Analysis) Context(n *core.Node, e *Env) *Env {
+	if a.budget <= 0 {
+		return nil
+	}
+	if e = a.holder(e, a.slot(n)); e != nil {
+		a.budget--
+	}
+	return e
+}
+
+// slot returns n's index slot, or -1 when it is not indexed.
+func (a *Analysis) slot(n *core.Node) int32 {
+	if a.cone != nil {
+		if i, ok := a.cone.idx[n]; ok {
+			return i
+		}
+	}
+	return -1
+}
+
+// free returns the context-free value of n, whose index slot is i (-1
+// when unindexed).
+func (a *Analysis) free(n *core.Node, i int32) Value {
+	if i >= 0 {
+		if a.cone.done[i] {
+			return a.cone.free[i]
+		}
+	} else if v, ok := a.memo[n]; ok {
+		return v
+	}
+	v := a.step(n, nil)
+	if i >= 0 {
+		a.cone.free[i], a.cone.done[i] = v, true
+	} else {
+		a.memo[n] = v
+	}
+	return v
+}
+
+// step applies n's transfer function under e, within the budget.
+func (a *Analysis) step(n *core.Node, e *Env) Value {
 	if a.budget <= 0 {
 		return topOf(n.Type)
 	}
 	a.budget--
-	v := a.transfer(n, e)
-	if v.Kind == core.KindBV {
-		v = v.norm()
+	return a.transfer(n, e).norm()
+}
+
+// fact returns the innermost fact about n along e's chain.
+func (a *Analysis) fact(e *Env, n *core.Node, i int32) (Value, bool) {
+	if i >= 0 && e.cone == a.cone && !a.cone.hasFact[i] {
+		return Value{}, false
 	}
-	memo[n] = v
-	return v
+	for ; e != nil; e = e.parent {
+		for _, f := range e.facts {
+			if f.n == n {
+				return f.v, true
+			}
+		}
+	}
+	return Value{}, false
 }
 
 func (a *Analysis) transfer(n *core.Node, e *Env) Value {

@@ -587,10 +587,3 @@ func signOf(k Bits, sign uint64) (neg, known bool) {
 	}
 	return false, false
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -2,17 +2,19 @@ package absint
 
 import "zen-go/internal/core"
 
-// maxEnvs caps how many refined contexts one Simplify call may create;
+// maxEnvs caps how many refined contexts one Simplify pass may create;
 // past the cap, branches are rewritten under their parent context
-// (sound, merely less precise). Each context costs a facts copy plus a
-// fresh memo, so adversarially nested conditionals stay linear.
+// (sound, merely less precise). A context costs only the facts it adds
+// and the nodes they reach (see Analysis.Index), but a fact can reach
+// far: two ACL lines with the same prefix share a comparison node, so
+// "the earlier line did not match" reaches the whole if-chain between
+// them, and each context along that stretch rewrites it again.
 const maxEnvs = 256
 
-// envWorkBudget bounds the total refinement work — each refined context
-// re-evaluates up to the whole cone under its facts, so the effective
-// env cap is envWorkBudget/nodes, floored at minEnvs. Small models get
-// the full maxEnvs precision; presolving a huge query DAG stays roughly
-// linear in its size instead of maxEnvs times it.
+// envWorkBudget scales the cap with the DAG: the effective cap is
+// envWorkBudget/nodes, floored at minEnvs. Small models get the full
+// maxEnvs precision; presolving a huge query DAG stays roughly linear in
+// its size instead of maxEnvs times it.
 const (
 	envWorkBudget = 1 << 18
 	minEnvs       = 8
@@ -53,16 +55,18 @@ type Result struct {
 // (envWorkBudget/maxEnvs nodes): simplifying a result again (with its
 // own builder) returns the same root pointer. Above that size the env
 // cap scales with the DAG, so a second call over the (smaller) output
-// may refine further — sound, just not a fixed point; the differential
-// fuzz oracle checks idempotence on in-budget expressions only.
+// may get more contexts and refine further — sound, just not a fixed
+// point; the differential fuzz oracle checks idempotence on in-budget
+// expressions only.
 func Simplify(b *core.Builder, root *core.Node) Result {
 	reuse := b != nil
 	if b == nil {
 		b = core.NewBuilder()
 	}
-	b.ReserveVars(maxVarID(root))
 	s := &simplifier{a: New(), b: b, reuse: reuse}
-	s.st.NodesBefore, s.st.SlicedInputs = measureCone(root)
+	cone := s.a.Index(root)
+	b.ReserveVars(cone.MaxVar)
+	s.st.NodesBefore, s.st.SlicedInputs = cone.Nodes, cone.FreeVars
 	s.envCap = maxEnvs
 	if n := s.st.NodesBefore; n > 0 && envWorkBudget/n < s.envCap {
 		s.envCap = envWorkBudget / n
@@ -70,20 +74,27 @@ func Simplify(b *core.Builder, root *core.Node) Result {
 			s.envCap = minEnvs
 		}
 	}
-	out := s.rw(root, nil, make(map[*core.Node]*core.Node))
 	// Iterate to a fixpoint: one pass can build a node late (from already
 	// rewritten pieces) that the next pass folds — e.g. a connective whose
 	// operand only became a refinable comparison after rewriting. Passes
 	// strictly simplify, so convergence is fast; the cap is a backstop.
-	for prev, i := root, 0; out != prev && i < 16; i++ {
-		prev = out
-		s.reuse = true // the previous pass interned its output into b
+	// Each pass indexes its input; the last index measures the output.
+	out := root
+	for pass := 0; ; pass++ {
+		in := out
+		out = s.rw(in, nil, make(map[*core.Node]*core.Node))
+		s.reuse = true // the pass interned its output into b
+		if out == in {
+			break
+		}
+		cone = s.a.Index(out)
+		if pass == 16 {
+			break
+		}
 		s.envs = 0
-		out = s.rw(out, nil, make(map[*core.Node]*core.Node))
 	}
-	after, liveAfter := measureCone(out)
-	s.st.NodesAfter = after
-	s.st.SlicedInputs -= liveAfter
+	s.st.NodesAfter = cone.Nodes
+	s.st.SlicedInputs -= cone.FreeVars
 	if s.st.SlicedInputs < 0 {
 		s.st.SlicedInputs = 0
 	}
@@ -154,7 +165,7 @@ func (s *simplifier) rewrite(n *core.Node, e *Env, memo map[*core.Node]*core.Nod
 		// Refine on the rewritten operand: facts the original obscured
 		// (e.g. a comparison whose right side just folded to a constant)
 		// decompose only in the simplified form.
-		er, erMemo, ok := s.extend(e, memo, x, truth)
+		er, erMemo, ok := s.extend(e, memo, x, truth, n.Kids[1])
 		if !ok {
 			s.st.Folds++
 			return s.b.BoolConst(!truth)
@@ -178,13 +189,13 @@ func (s *simplifier) rewrite(n *core.Node, e *Env, memo map[*core.Node]*core.Nod
 			}
 			return s.rw(n.Kids[2], e, memo)
 		}
-		et, etMemo, okT := s.extend(e, memo, c, true)
+		et, etMemo, okT := s.extend(e, memo, c, true, n.Kids[1])
 		if !okT {
 			// cond cannot be true on this path: the then branch is dead.
 			s.st.BranchesPruned++
 			return s.rw(n.Kids[2], e, memo)
 		}
-		ef, efMemo, okF := s.extend(e, memo, c, false)
+		ef, efMemo, okF := s.extend(e, memo, c, false, n.Kids[2])
 		if !okF {
 			s.st.BranchesPruned++
 			return s.rw(n.Kids[1], et, etMemo)
@@ -232,13 +243,14 @@ func (s *simplifier) rewrite(n *core.Node, e *Env, memo map[*core.Node]*core.Nod
 	return rebuild(s.b, n, kids)
 }
 
-// extend derives the refined context for one branch, under the env cap.
-func (s *simplifier) extend(e *Env, memo map[*core.Node]*core.Node, cond *core.Node, truth bool) (*Env, map[*core.Node]*core.Node, bool) {
+// extend derives the refined context for rewriting scope, under the env
+// cap.
+func (s *simplifier) extend(e *Env, memo map[*core.Node]*core.Node, cond *core.Node, truth bool, scope *core.Node) (*Env, map[*core.Node]*core.Node, bool) {
 	if s.envs >= s.envCap {
 		return e, memo, true
 	}
 	s.envs++
-	ne, ok := s.a.Assume(e, cond, truth)
+	ne, ok := s.a.Assume(e, cond, truth, scope)
 	if !ok {
 		return e, memo, false
 	}
@@ -340,61 +352,4 @@ func rebuild(b *core.Builder, n *core.Node, kids []*core.Node) *core.Node {
 		return b.Cast(kids[0], n.Type)
 	}
 	return n
-}
-
-// maxVarID returns the highest variable id reachable from n (binders
-// included), so a foreign builder can reserve past it.
-func maxVarID(root *core.Node) int32 {
-	var maxID int32
-	seen := make(map[*core.Node]bool)
-	var walk func(n *core.Node)
-	walk = func(n *core.Node) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		if n.Op == core.OpVar && n.VarID > maxID {
-			maxID = n.VarID
-		}
-		for _, k := range n.Kids {
-			walk(k)
-		}
-		for _, b := range n.Bound {
-			walk(b)
-		}
-	}
-	walk(root)
-	return maxID
-}
-
-// measureCone counts distinct nodes and free input variables reachable
-// from n (list-case binders are not inputs).
-func measureCone(root *core.Node) (nodes, freeVars int) {
-	seen := make(map[*core.Node]bool)
-	vars := make(map[int32]bool)
-	bound := make(map[int32]bool)
-	var walk func(n *core.Node)
-	walk = func(n *core.Node) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		nodes++
-		if n.Op == core.OpVar {
-			vars[n.VarID] = true
-		}
-		for _, b := range n.Bound {
-			bound[b.VarID] = true
-		}
-		for _, k := range n.Kids {
-			walk(k)
-		}
-	}
-	walk(root)
-	for id := range vars {
-		if !bound[id] {
-			freeVars++
-		}
-	}
-	return nodes, freeVars
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"weak"
 )
 
 // Op identifies an expression construct of the Zen abstract syntax
@@ -82,16 +83,45 @@ type Node struct {
 func (n *Node) ID() int64 { return n.nodeID }
 
 // Builder creates and hash-conses nodes. It is safe for concurrent use.
+//
+// The table does not keep nodes alive: it holds the nodes interned since
+// the last sweep strongly and older ones weakly. Once as many nodes have
+// been interned since the last sweep as survived it, a sweep turns the
+// young ones weak and drops the entries the collector has freed, so a
+// long-running process retains only the DAGs it still references. While
+// a node is reachable, building an equal structure returns that same
+// pointer.
 type Builder struct {
 	mu      sync.Mutex
-	buckets map[uint64][]*Node
+	table   map[uint64]slot
+	spill   map[uint64][]slot // hash collisions, rare
+	young   int               // nodes interned since the last sweep
+	old     int               // weak entries that survived the last sweep
 	nextID  int64
 	nextVar int32
 }
 
+// slot is one table entry: a young node, or a weak pointer to an old one.
+type slot struct {
+	n *Node
+	w weak.Pointer[Node]
+}
+
+// node returns the entry's node, or nil once it has been freed.
+func (s slot) node() *Node {
+	if s.n != nil {
+		return s.n
+	}
+	return s.w.Value()
+}
+
+// minSweep is the young generation size below which no sweep runs, so
+// small builders never pay for one.
+const minSweep = 1 << 16
+
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
-	return &Builder{buckets: make(map[uint64][]*Node, 1024)}
+	return &Builder{table: make(map[uint64]slot, 1024), spill: make(map[uint64][]slot)}
 }
 
 func (b *Builder) hash(op Op, t *Type, kids []*Node, bval bool, uval uint64, varID int32, index int) uint64 {
@@ -135,16 +165,77 @@ func (b *Builder) intern(op Op, t *Type, kids []*Node, bval bool, uval uint64, v
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	h := b.hash(op, t, kids, bval, uval, varID, index)
-	for _, n := range b.buckets[h] {
-		if sameNode(n, op, t, kids, bval, uval, varID, index) {
+	first, taken := b.table[h]
+	if taken {
+		if n := first.node(); n == nil {
+			taken = false // freed: the slot can be reused
+		} else if sameNode(n, op, t, kids, bval, uval, varID, index) {
+			return n
+		}
+	}
+	for _, s := range b.spill[h] {
+		if n := s.node(); n != nil && sameNode(n, op, t, kids, bval, uval, varID, index) {
 			return n
 		}
 	}
 	b.nextID++
 	n := &Node{Op: op, Type: t, Kids: kids, BVal: bval, UVal: uval,
 		VarID: varID, Index: index, nodeID: b.nextID}
-	b.buckets[h] = append(b.buckets[h], n)
+	if taken {
+		b.spill[h] = append(b.spill[h], slot{n: n})
+	} else {
+		b.table[h] = slot{n: n}
+	}
+	if b.young++; b.young >= max(b.old, minSweep) {
+		b.sweep()
+	}
 	return n
+}
+
+// Sweep runs a sweep now instead of when the young generation has grown:
+// nodes that only the table referenced can then be freed by the next
+// garbage collection.
+func (b *Builder) Sweep() {
+	b.mu.Lock()
+	b.sweep()
+	b.mu.Unlock()
+}
+
+// sweep makes the young entries weak and drops the freed ones. The
+// caller holds b.mu.
+func (b *Builder) sweep() {
+	b.young, b.old = 0, 0
+	// age returns the entry after the sweep; false if its node was freed.
+	age := func(s slot) (slot, bool) {
+		switch {
+		case s.n != nil:
+			return slot{w: weak.Make(s.n)}, true
+		case s.w.Value() == nil:
+			return s, false
+		}
+		b.old++
+		return s, true
+	}
+	for h, s := range b.table {
+		if s, ok := age(s); ok {
+			b.table[h] = s
+		} else {
+			delete(b.table, h)
+		}
+	}
+	for h, ss := range b.spill {
+		keep := ss[:0]
+		for _, s := range ss {
+			if s, ok := age(s); ok {
+				keep = append(keep, s)
+			}
+		}
+		if clear(ss[len(keep):]); len(keep) == 0 {
+			delete(b.spill, h)
+		} else {
+			b.spill[h] = keep
+		}
+	}
 }
 
 // fresh allocates a non-interned node (used for binders and case nodes).
@@ -167,8 +258,9 @@ func (b *Builder) ReserveVars(id int32) {
 	b.mu.Unlock()
 }
 
-// NumNodes returns the number of distinct interned nodes, a rough measure
-// of model size.
+// NumNodes returns the number of nodes ever interned (and variables ever
+// allocated) by this builder, including nodes since freed: a rough
+// measure of model-building work, not of what is live.
 func (b *Builder) NumNodes() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -25,25 +25,20 @@ import (
 // and a branch is dead only if no reachable context leaves it live.
 //
 // One walk sees both kinds of cause, so each finding is reported once, at
-// its root. A dead branch whose condition, or an operand of that
-// condition (looking through Not), is a reported ZL601/ZL602 comparison
-// is that comparison's finding. A range verdict that holds only because
-// a reported dead branch pins a value below it is that branch's finding.
+// its root. A dead branch whose condition reported ZL601/ZL602
+// comparisons force (see rangeRooted) is those comparisons' finding. A
+// range verdict that holds only because a reported dead branch pins a
+// value below it is that branch's finding.
+//
+// The walk visits a node once per holder (absint.Analysis.Context), so
+// contexts whose facts do not reach a node share one visit of it; absint's
+// evaluation budget bounds the refined visits.
 var AbsRange = &Analyzer{
 	Name:  "absrange",
 	Doc:   "dead branches, comparisons and values decided by known-bits + interval analysis",
 	Codes: []string{"ZL201", "ZL601", "ZL602", "ZL603"},
 	Run:   runAbsRange,
 }
-
-// walkBudget bounds the walk's work at about contexts × nodes: each
-// refined context copies its facts and visits and evaluates each node at
-// most once, so a model gets walkBudget/nodes refined contexts. Past
-// that, branches are walked under the enclosing context: fewer findings,
-// never wrong ones, since a wider context only leaves more open. It stays
-// below absint's evaluation budget, so values never degrade to top
-// midway through the walk.
-const walkBudget = 1 << 19
 
 func runAbsRange(p *Pass) {
 	w := &rangeWalker{
@@ -53,10 +48,10 @@ func runAbsRange(p *Pass) {
 		sing:    make(map[*core.Node]*rangeSingleton),
 		live:    make(map[*core.Node]*[2]bool),
 		visited: make(map[*absint.Env]map[*core.Node]bool),
-		envs:    walkBudget / core.Measure(p.Root).Nodes,
 
 		fromDead: make(map[*core.Node]bool),
 	}
+	w.a.Index(p.Root)
 	w.walk(p.Root, nil)
 	var nodes []*core.Node
 	for n := range w.live {
@@ -130,14 +125,15 @@ type rangeWalker struct {
 	sing    map[*core.Node]*rangeSingleton
 	live    map[*core.Node]*[2]bool             // per reachable If: {then, else} seen live
 	visited map[*absint.Env]map[*core.Node]bool // per-context visit memo
-	envs    int                                 // refined contexts left
 
 	fromDead map[*core.Node]bool // fromDeadBranch memo
 }
 
 func (w *rangeWalker) walk(n *core.Node, e *absint.Env) {
-	// A node observes the same under the same context; other contexts
-	// can decide it differently, so they re-descend.
+	// A node observes the same under every context with the same
+	// holder; contexts with another holder can decide it differently, so
+	// they re-descend.
+	e = w.a.Context(n, e)
 	seen := w.visited[e]
 	if seen == nil {
 		seen = make(map[*core.Node]bool)
@@ -152,8 +148,8 @@ func (w *rangeWalker) walk(n *core.Node, e *absint.Env) {
 	case core.OpIf:
 		cond := n.Kids[0]
 		w.walk(cond, e)
-		et, okT := w.extend(e, cond, true)
-		ef, okF := w.extend(e, cond, false)
+		et, okT := w.extend(e, cond, true, n.Kids[1])
+		ef, okF := w.extend(e, cond, false, n.Kids[2])
 		if okT || okF { // neither: the path itself is unreachable
 			lv := w.live[n]
 			if lv == nil {
@@ -176,7 +172,7 @@ func (w *rangeWalker) walk(n *core.Node, e *absint.Env) {
 		// the unneeded operand, so it is walked under the enclosing
 		// context instead, keeping dead branches inside it visible.
 		w.walk(n.Kids[0], e)
-		er, ok := w.extend(e, n.Kids[0], n.Op == core.OpAnd)
+		er, ok := w.extend(e, n.Kids[0], n.Op == core.OpAnd, n.Kids[1])
 		if !ok {
 			er = e
 		}
@@ -220,43 +216,46 @@ func (w *rangeWalker) observe(n *core.Node, e *absint.Env) {
 	}
 }
 
-// extend refines the context with cond=truth, within the context
-// budget. The second result is false when the path cannot give cond that
-// truth value — the guarded code is unreachable, so nothing below it is
+// extend refines the context with cond=truth for walking scope. The
+// second result is false when the path cannot give cond that truth
+// value — the guarded code is unreachable, so nothing below it is
 // observed. A context that already decides cond is checked first: Assume
 // decomposes a true And (a false Or) into its operands without meeting
 // the connective's own fact, so it would miss that contradiction.
-func (w *rangeWalker) extend(e *absint.Env, cond *core.Node, truth bool) (*absint.Env, bool) {
+func (w *rangeWalker) extend(e *absint.Env, cond *core.Node, truth bool, scope *core.Node) (*absint.Env, bool) {
 	if b, ok := w.a.Eval(cond, e).AsBool(); ok && b != truth {
 		return nil, false
 	}
-	if w.envs <= 0 {
-		return e, true
-	}
-	w.envs--
-	return w.a.Assume(e, cond, truth)
+	return w.a.Assume(e, cond, truth, scope)
 }
 
 // deadFinding reports whether n is an If reported as ZL201: a branch no
-// reachable context takes, not rooted in a range finding.
+// reachable context takes, not forced by a range finding.
 func (w *rangeWalker) deadFinding(n *core.Node) bool {
 	lv := w.live[n]
-	return lv != nil && !(lv[0] && lv[1]) && !w.rangeRooted(n.Kids[0])
+	return lv != nil && !(lv[0] && lv[1]) && !w.rangeRooted(n.Kids[0], lv[0])
 }
 
-// rangeRooted reports whether cond, or an operand of it, looking through
-// Not, is a comparison reported as ZL601/ZL602.
-func (w *rangeWalker) rangeRooted(cond *core.Node) bool {
-	cond = stripNot(cond)
+// rangeRooted reports whether comparisons reported as ZL601/ZL602
+// force cond to v: cond itself, looking through Not, or the operands of
+// an And/Or — one operand whose verdict decides the connective, or all of
+// them when none can alone.
+func (w *rangeWalker) rangeRooted(cond *core.Node, v bool) bool {
+	cond, v = stripNot(cond, v)
 	if w.rangeFinding(cond) {
 		return true
 	}
+	if cond.Op != core.OpAnd && cond.Op != core.OpOr {
+		return false
+	}
+	one := (cond.Op == core.OpAnd) != v // an operand equal to v decides it
 	for _, k := range cond.Kids {
-		if w.rangeFinding(stripNot(k)) {
-			return true
+		k, kv := stripNot(k, v)
+		if forced := w.rangeFinding(k) && w.dec[k].t == kv; forced == one {
+			return one
 		}
 	}
-	return false
+	return !one
 }
 
 // rangeFinding reports whether n is a comparison reported as ZL601/ZL602:
@@ -295,9 +294,11 @@ func decidedAlone(v absint.Value) bool {
 	return b || c
 }
 
-func stripNot(n *core.Node) *core.Node {
+// stripNot looks through negations of n, tracking the value v it must
+// take.
+func stripNot(n *core.Node, v bool) (*core.Node, bool) {
 	for n.Op == core.OpNot {
-		n = n.Kids[0]
+		n, v = n.Kids[0], !v
 	}
-	return n
+	return n, v
 }

@@ -167,3 +167,26 @@ func TestAbsRangeForcedByDeadBranchReportedOnce(t *testing.T) {
 		t.Fatalf("want ZL201, got %v", codes(diags))
 	}
 }
+
+func TestAbsRangeRepeatBehindAlwaysTrueConjunct(t *testing.T) {
+	b := core.NewBuilder()
+	u8 := core.BV(8, false)
+	x, y := b.Var(u8, "x"), b.Var(u8, "y")
+	// An ACL line that repeats an earlier one: both match
+	// And(BAnd(y, 0) == 0, x == 7). The conjunct always holds (ZL602),
+	// but it cannot make the And false: the repeated line is dead because
+	// the earlier one took its packets, so it is reported as ZL201.
+	match := b.And(b.Eq(b.BAnd(y, b.BVConst(u8, 0)), b.BVConst(u8, 0)), b.Eq(x, b.BVConst(u8, 7)))
+	inner := b.If(match, b.BVConst(u8, 2), b.BVConst(u8, 3))
+	root := b.If(match, b.BVConst(u8, 1), inner)
+	diags := Run(root, nil, AbsRange)
+	if !hasCode(diags, "ZL602") {
+		t.Fatalf("want ZL602 on the always-true conjunct, got %v", codes(diags))
+	}
+	for _, d := range diags {
+		if d.Code == "ZL201" && d.Node == inner {
+			return
+		}
+	}
+	t.Fatalf("want ZL201 on the repeated line, got %v", codes(diags))
+}

@@ -39,12 +39,13 @@ go run ./cmd/zenvet
 # plus race-enabled tests over the packages where data races are a live
 # hazard — the query service, the racing portfolio backend, the metrics
 # recorder both write to, the presolve engine every query path calls,
-# and the bitsliced batch evaluator whose compiled plans are shared
-# across concurrent streams. It runs first so a race in the hot layers
-# fails fast.
-echo "== race-tier (go vet + go test -race: serve, portfolio, obs, absint, bitslice)"
-go vet ./internal/serve/... ./internal/portfolio/... ./internal/obs/... ./internal/absint/... ./internal/bitslice/...
-go test -race -count=1 ./internal/serve/... ./internal/portfolio/... ./internal/obs/... ./internal/absint/... ./internal/bitslice/...
+# the bitsliced batch evaluator whose compiled plans are shared across
+# concurrent streams, and the hash-cons builder, which sweeps its table
+# under the lock every goroutine interns through. It runs first so a
+# race in the hot layers fails fast.
+echo "== race-tier (go vet + go test -race: serve, portfolio, obs, absint, bitslice, core)"
+go vet ./internal/serve/... ./internal/portfolio/... ./internal/obs/... ./internal/absint/... ./internal/bitslice/... ./internal/core/...
+go test -race -count=1 ./internal/serve/... ./internal/portfolio/... ./internal/obs/... ./internal/absint/... ./internal/bitslice/... ./internal/core/...
 
 # The rest of the suite still runs under the race detector — the tier
 # above fails fast, it does not replace full coverage: internal/cancel
