@@ -1,7 +1,7 @@
 // Command zenfuzz runs the cross-backend differential fuzzing campaign from
 // the command line: it generates random typed queries, pushes each through
-// every execution path (interpreter, compiled programs, BDD and SAT solving,
-// state-set transformers) and reports any disagreement as a shrunk,
+// every execution path (interpreter, bitsliced batch evaluation, BDD and
+// SAT solving, the solver portfolio, presolve, state-set transformers) and reports any disagreement as a shrunk,
 // ready-to-paste regression test.
 //
 // Usage:

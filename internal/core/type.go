@@ -1,7 +1,7 @@
 // Package core implements the Zen intermediate language: its type system
 // and its hash-consed expression DAG (the abstract syntax of Figure 9 in the
 // paper). The public zen package wraps this with a typed, generics-based
-// façade; analysis backends (interp, sym, stateset, testgen, compilejit)
+// façade; analysis backends (interp, sym, stateset, testgen, bitslice, absint)
 // consume the DAG produced here.
 package core
 

@@ -208,8 +208,7 @@ func (c corrupting) decode() *interp.Value {
 }
 
 func enumerateCorrupted(expr, in *core.Node, cfg CheckConfig) enumResult {
-	prog, _ := compileChecked(expr, in)
-	return enumerate(func() anySolver { return corrupting{wrapSolver(backends.NewBDD())} }, expr, expr, in, prog, cfg)
+	return enumerate(func() anySolver { return corrupting{wrapSolver(backends.NewBDD())} }, expr, expr, in, cfg)
 }
 
 func containsOp(n *core.Node, op core.Op) bool {
@@ -233,7 +232,7 @@ func containsOp(n *core.Node, op core.Op) bool {
 	return walk(n)
 }
 
-// TestPortfolioEngineEnumerates exercises the sixth oracle engine alone:
+// TestPortfolioEngineEnumerates exercises the portfolio oracle engine alone:
 // the portfolio adapter must enumerate the exact model set of a simple
 // predicate through its race-then-Next protocol.
 func TestPortfolioEngineEnumerates(t *testing.T) {
@@ -241,11 +240,7 @@ func TestPortfolioEngineEnumerates(t *testing.T) {
 	ty := core.BV(8, false)
 	in := b.Var(ty, "in")
 	expr := b.Lt(in, b.BVConst(ty, 3))
-	prog, div := compileChecked(expr, in)
-	if div != nil {
-		t.Fatalf("compile: %v", div)
-	}
-	res := enumerate(newPortfolioSolver, expr, expr, in, prog, CheckConfig{ListBound: 2, MaxModels: 10})
+	res := enumerate(newPortfolioSolver, expr, expr, in, CheckConfig{ListBound: 2, MaxModels: 10})
 	if res.div != nil {
 		t.Fatalf("portfolio enumeration diverged: %v", res.div)
 	}

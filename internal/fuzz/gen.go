@@ -1,8 +1,8 @@
 // Package fuzz is Zen's cross-backend differential-testing harness. It
 // generates random typed expression DAGs over the core node vocabulary,
 // runs each through every execution path of the system — concrete
-// interpretation, BDD and SAT solving, compiled execution, and state-set
-// transformers — and checks that all paths agree (oracle.go). Any
+// interpretation, bitsliced batch evaluation, BDD and SAT solving, the
+// solver portfolio, presolve, and state-set transformers — and checks that all paths agree (oracle.go). Any
 // divergence is minimized by a greedy DAG shrinker (shrink.go) and printed
 // as a compilable regression test (repro.go).
 //

@@ -49,8 +49,8 @@ func runSeed(t *testing.T, seed int64, gcfg fuzz.Config, ccfg fuzz.CheckConfig) 
 	}
 }
 
-// FuzzDifferential drives the full oracle (interp, compile, BDD, SAT,
-// state sets) over the default generator configuration.
+// FuzzDifferential drives the full oracle (interp, bitslice, BDD, SAT,
+// portfolio, presolve, state sets) over the default generator configuration.
 func FuzzDifferential(f *testing.F) {
 	for _, s := range corpusSeeds(f) {
 		f.Add(s)

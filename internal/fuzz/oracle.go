@@ -7,7 +7,6 @@ import (
 	"zen-go/internal/absint"
 	"zen-go/internal/backends"
 	"zen-go/internal/bitslice"
-	"zen-go/internal/compilejit"
 	"zen-go/internal/core"
 	"zen-go/internal/interp"
 	"zen-go/internal/obs"
@@ -22,7 +21,6 @@ const (
 	KindCountDisagree    = "count-disagree"    // backends enumerate different model counts
 	KindUnsoundModel     = "unsound-model"     // a returned model does not satisfy the predicate
 	KindDuplicateModel   = "duplicate-model"   // model enumeration returned the same input twice
-	KindCompileDiverge   = "compile-diverge"   // compiled output differs from interpreted output
 	KindStateSetEmpty    = "stateset-empty"    // set emptiness contradicts the solvers
 	KindStateSetModel    = "stateset-model"    // a solver model is missing from the predicate's set
 	KindStateSetCount    = "stateset-count"    // exact set count contradicts exhausted enumeration
@@ -42,7 +40,7 @@ type CheckConfig struct {
 	// MaxModels caps FindAll-parity enumeration per backend.
 	MaxModels int
 	// ConcreteTrials is the number of random concrete inputs run through
-	// interpreter vs compiled program.
+	// the interpreter, the bitsliced batch step and the presolved DAG.
 	ConcreteTrials int
 	// StateSet enables the state-set transformer cross-check (list-free
 	// expressions only; skipped automatically otherwise).
@@ -74,11 +72,9 @@ func (d *Divergence) Error() string {
 // Check runs the boolean expression expr over the single input variable in
 // through every execution path and cross-validates them:
 //
-//   - interpreted vs compiled output on random concrete inputs,
 //   - interpreted vs bitsliced batch output on a full 64-lane step,
 //   - BDD vs SAT satisfiability and (capped) model counts,
-//   - every returned model concretely satisfies expr under interpretation
-//     and compiled execution,
+//   - every returned model concretely satisfies expr under interpretation,
 //   - state-set emptiness/containment/count and TransformForward/Reverse
 //     against direct solving (list-free expressions).
 //
@@ -92,51 +88,34 @@ func Check(expr, in *core.Node, cfg CheckConfig, rng *rand.Rand) *Divergence {
 		return &Divergence{Kind: kind, Detail: fmt.Sprintf(format, args...), Expr: expr, In: in}
 	}
 
-	// Path 1+2: interpretation vs compiled execution on concrete inputs.
-	prog, div := compileChecked(expr, in)
-	if div != nil {
-		return div.fill(expr, in)
-	}
 	var concrete []*interp.Value
 	for i := 0; i < cfg.ConcreteTrials; i++ {
 		concrete = append(concrete, RandValue(rng, in.Type, cfg.ListBound))
 	}
-	for _, x := range concrete {
-		if d := checkCompiled(expr, in, prog, x); d != nil {
-			return d.fill(expr, in)
-		}
-	}
 
-	// Path 2b: bitsliced batch evaluation. All 64 lanes of one transposed
+	// Path 1: bitsliced batch evaluation. All 64 lanes of one transposed
 	// step must agree with the scalar interpreter; list-bearing
 	// expressions sit outside the bitslice fragment and are skipped.
 	if d := checkBitslice(expr, in, concrete, cfg, rng); d != nil {
 		return d.fill(expr, in)
 	}
 
-	// Path 2c: abstract-interpretation presolve parity. The simplified
+	// Path 2: abstract-interpretation presolve parity. The simplified
 	// DAG must agree with the original on every concrete input, be a
 	// fixpoint of Simplify, and lead the solvers to the same verdict —
 	// with each of its models checked against the ORIGINAL predicate, so
 	// an unsound rewrite cannot hide behind a matching sat bit.
-	simp, div := simplifyChecked(expr)
+	simp, div := simplifyChecked(expr, in, concrete)
 	if div != nil {
 		return div.fill(expr, in)
 	}
-	for _, x := range concrete {
-		want := interp.Eval(expr, interp.Env{in.VarID: x}).B
-		got := interp.Eval(simp, interp.Env{in.VarID: x}).B
-		if got != want {
-			return fail(KindPresolveDiverge, "input %s: original=%v simplified=%v\n  simplified: %s", x, want, got, simp)
-		}
-	}
 
 	// Path 3+4: BDD and SAT find/findall with model-soundness checking.
-	bddRes := enumerate(func() anySolver { return wrapSolver(backends.NewBDD()) }, expr, expr, in, prog, cfg)
+	bddRes := enumerate(func() anySolver { return wrapSolver(backends.NewBDD()) }, expr, expr, in, cfg)
 	if bddRes.div != nil {
 		return bddRes.div.fill(expr, in)
 	}
-	satRes := enumerate(func() anySolver { return wrapSolver(backends.NewSAT()) }, expr, expr, in, prog, cfg)
+	satRes := enumerate(func() anySolver { return wrapSolver(backends.NewSAT()) }, expr, expr, in, cfg)
 	if satRes.div != nil {
 		return satRes.div.fill(expr, in)
 	}
@@ -150,12 +129,12 @@ func Check(expr, in *core.Node, cfg CheckConfig, rng *rand.Rand) *Divergence {
 		return fail(KindCountDisagree, "sat exhausted at %d models, bdd found %d", len(satRes.models), len(bddRes.models))
 	}
 
-	// Path 4b: the racing portfolio (sixth engine) must agree with the
+	// Path 4b: the racing portfolio must agree with the
 	// single backends on satisfiability and enumeration counts. Its
 	// witness values are timing-dependent (the winner varies), but
 	// enumerate checks every model for concrete soundness, so parity is
 	// over verdicts and counts, never over witness identity.
-	pfRes := enumerate(newPortfolioSolver, expr, expr, in, prog, cfg)
+	pfRes := enumerate(newPortfolioSolver, expr, expr, in, cfg)
 	if pfRes.div != nil {
 		return pfRes.div.fill(expr, in)
 	}
@@ -171,8 +150,8 @@ func Check(expr, in *core.Node, cfg CheckConfig, rng *rand.Rand) *Divergence {
 
 	// Path 4c: solve the simplified DAG and require verdict and model-count
 	// parity with the original; enumerate validates each simplified-DAG
-	// model against the original expr (and its compiled program).
-	psRes := enumerate(func() anySolver { return wrapSolver(backends.NewBDD()) }, simp, expr, in, prog, cfg)
+	// model against the original expr.
+	psRes := enumerate(func() anySolver { return wrapSolver(backends.NewBDD()) }, simp, expr, in, cfg)
 	if psRes.div != nil {
 		return psRes.div.fill(expr, in)
 	}
@@ -187,7 +166,7 @@ func Check(expr, in *core.Node, cfg CheckConfig, rng *rand.Rand) *Divergence {
 	// Path 5: state-set transformers (exact over the whole space).
 	if cfg.StateSet && listFree(expr) && listFreeType(in.Type) &&
 		(cfg.MaxStateSetBits == 0 || in.Type.NumBits(cfg.ListBound) <= cfg.MaxStateSetBits) {
-		if d := checkStateSet(expr, in, bddRes, concrete[0], prog); d != nil {
+		if d := checkStateSet(expr, in, bddRes, concrete[0]); d != nil {
 			return d.fill(expr, in)
 		}
 	}
@@ -199,32 +178,6 @@ func (d *Divergence) fill(expr, in *core.Node) *Divergence {
 		d.Expr, d.In = expr, in
 	}
 	return d
-}
-
-// --- compiled vs interpreted ---
-
-func compileChecked(expr, in *core.Node) (prog *compilejit.Program, div *Divergence) {
-	defer func() {
-		if r := recover(); r != nil {
-			div = &Divergence{Kind: KindBackendPanic, Detail: fmt.Sprintf("compile panicked: %v", r)}
-		}
-	}()
-	return compilejit.Compile(expr, in), nil
-}
-
-func checkCompiled(expr, in *core.Node, prog *compilejit.Program, x *interp.Value) (div *Divergence) {
-	defer func() {
-		if r := recover(); r != nil {
-			div = &Divergence{Kind: KindBackendPanic, Detail: fmt.Sprintf("concrete run panicked on %s: %v", x, r)}
-		}
-	}()
-	want := interp.Eval(expr, interp.Env{in.VarID: x}).B
-	got := prog.Run(x).B
-	if got != want {
-		return &Divergence{Kind: KindCompileDiverge,
-			Detail: fmt.Sprintf("input %s: interpreted=%v compiled=%v", x, want, got)}
-	}
-	return nil
 }
 
 // --- bitsliced batch parity ---
@@ -271,18 +224,27 @@ func checkBitslice(expr, in *core.Node, concrete []*interp.Value, cfg CheckConfi
 // --- presolve parity ---
 
 // simplifyChecked runs the abstract-interpretation simplifier on its own
-// builder and checks idempotence (Simplify must be a no-op on its own
-// output); panics surface as backend-panic divergences.
-func simplifyChecked(expr *core.Node) (root *core.Node, div *Divergence) {
+// builder, checks idempotence (Simplify must be a no-op on its own
+// output) and agreement with the original on the concrete inputs. Panics,
+// the interpreter's included (for list expressions this is its first run
+// on the inputs), surface as backend-panic divergences.
+func simplifyChecked(expr, in *core.Node, concrete []*interp.Value) (root *core.Node, div *Divergence) {
 	defer func() {
 		if r := recover(); r != nil {
-			div = &Divergence{Kind: KindBackendPanic, Detail: fmt.Sprintf("presolve panicked: %v", r)}
+			div = &Divergence{Kind: KindBackendPanic, Detail: fmt.Sprintf("presolve parity panicked: %v", r)}
 		}
 	}()
 	res := absint.Simplify(nil, expr)
 	if again := absint.Simplify(res.Builder, res.Root); again.Root != res.Root {
 		return nil, &Divergence{Kind: KindPresolveDiverge,
 			Detail: fmt.Sprintf("not idempotent:\n  once:  %s\n  twice: %s", res.Root, again.Root)}
+	}
+	for _, x := range concrete {
+		want := interp.Eval(expr, interp.Env{in.VarID: x}).B
+		if got := interp.Eval(res.Root, interp.Env{in.VarID: x}).B; got != want {
+			return nil, &Divergence{Kind: KindPresolveDiverge,
+				Detail: fmt.Sprintf("input %s: original=%v simplified=%v\n  simplified: %s", x, want, got, res.Root)}
+		}
 	}
 	return res.Root, nil
 }
@@ -361,11 +323,10 @@ type enumResult struct {
 }
 
 // enumerate finds up to cfg.MaxModels distinct models of solveExpr,
-// checking each for soundness under interpretation and compiled execution
-// of checkExpr. The two differ only on the presolve-parity path, where
+// checking each for soundness under interpretation of checkExpr. The two differ only on the presolve-parity path, where
 // the solver runs on the simplified DAG but every model must satisfy the
 // original predicate.
-func enumerate(mk func() anySolver, solveExpr, checkExpr, in *core.Node, prog *compilejit.Program, cfg CheckConfig) (res enumResult) {
+func enumerate(mk func() anySolver, solveExpr, checkExpr, in *core.Node, cfg CheckConfig) (res enumResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			res.div = &Divergence{Kind: KindBackendPanic, Detail: fmt.Sprintf("solver panicked: %v", r)}
@@ -385,10 +346,6 @@ func enumerate(mk func() anySolver, solveExpr, checkExpr, in *core.Node, prog *c
 			res.div = &Divergence{Kind: KindUnsoundModel, Detail: fmt.Sprintf("model %s evaluates to false", m)}
 			return res
 		}
-		if !prog.Run(m).B {
-			res.div = &Divergence{Kind: KindCompileDiverge, Detail: fmt.Sprintf("model %s satisfies interpreted but not compiled predicate", m)}
-			return res
-		}
 		for _, prev := range res.models {
 			if prev.Equal(m) {
 				res.div = &Divergence{Kind: KindDuplicateModel, Detail: fmt.Sprintf("model %s returned twice", m)}
@@ -403,7 +360,7 @@ func enumerate(mk func() anySolver, solveExpr, checkExpr, in *core.Node, prog *c
 
 // --- state sets ---
 
-func checkStateSet(expr, in *core.Node, solved enumResult, x *interp.Value, prog *compilejit.Program) (div *Divergence) {
+func checkStateSet(expr, in *core.Node, solved enumResult, x *interp.Value) (div *Divergence) {
 	defer func() {
 		if r := recover(); r != nil {
 			div = &Divergence{Kind: KindBackendPanic, Detail: fmt.Sprintf("stateset panicked: %v", r)}

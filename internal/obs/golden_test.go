@@ -23,7 +23,6 @@ func fullSnapshot() Snapshot {
 	s.BDD = BDDStats{Nodes: 107, CacheHits: 108, CacheMisses: 109, UniqueHits: 110}
 	s.SAT = SATStats{Vars: 111, Clauses: 112, Learned: 113, Decisions: 114,
 		Propagations: 115, Conflicts: 116, Restarts: 117}
-	s.Compile = CompileStats{Compiles: 120, Instructions: 121, Registers: 122}
 	s.Bitslice = BitsliceStats{Plans: 123, PlanOps: 124, PlanRegs: 125,
 		Batches: 126, Packets: 127, Fallbacks: 128}
 	s.StateSet = StateSetStats{Transformers: 129, FreshSpaces: 130, Forwards: 131, Reverses: 132}

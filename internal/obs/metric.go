@@ -131,10 +131,6 @@ var SnapshotMetrics = []Metric[Snapshot]{
 	{Name: "zen_portfolio_loser_abort_seconds_total", Help: "Wall time between a race winner's answer and loser teardown.", Field: func(s *Snapshot) *int64 { return &s.Portfolio.LoserAbortNs },
 		Value: func(s *Snapshot) float64 { return float64(s.Portfolio.LoserAbortNs) / 1e9 }},
 
-	{Name: "zen_compiles_total", Help: "Model compilations.", Field: func(s *Snapshot) *int64 { return &s.Compile.Compiles }},
-	{Name: "zen_compile_instructions_total", Help: "Instructions emitted by model compilation.", Field: func(s *Snapshot) *int64 { return &s.Compile.Instructions }},
-	{Field: func(s *Snapshot) *int64 { return &s.Compile.Registers }},
-
 	{Name: "zen_bitslice_plans_total", Help: "Bitslice plan compilations.", Field: func(s *Snapshot) *int64 { return &s.Bitslice.Plans }},
 	{Name: "zen_bitslice_plan_ops_total", Help: "Word instructions emitted by bitslice plan compilation.", Field: func(s *Snapshot) *int64 { return &s.Bitslice.PlanOps }},
 	{Field: func(s *Snapshot) *int64 { return &s.Bitslice.PlanRegs }},

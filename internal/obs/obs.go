@@ -111,13 +111,6 @@ type PortfolioStats struct {
 	LoserAbortNs int64 `json:"loser_abort_ns"`
 }
 
-// CompileStats count model compilations (§8).
-type CompileStats struct {
-	Compiles     int64 `json:"compiles"`
-	Instructions int64 `json:"instructions"`
-	Registers    int64 `json:"registers"`
-}
-
 // BitsliceStats count batch-evaluation activity (internal/bitslice):
 // plans compiled, batches executed, packets pushed through them, and
 // scalar fallbacks for models outside the bitslice fragment.
@@ -256,7 +249,6 @@ type Snapshot struct {
 	DAG       DAGStats       `json:"dag"`
 	BDD       BDDStats       `json:"bdd"`
 	SAT       SATStats       `json:"sat_solver"`
-	Compile   CompileStats   `json:"compile"`
 	Bitslice  BitsliceStats  `json:"bitslice"`
 	StateSet  StateSetStats  `json:"stateset"`
 	Fuzz      FuzzStats      `json:"fuzz"`
@@ -399,10 +391,6 @@ func (s *Snapshot) String() string {
 			fmt.Fprintf(&b, " (auto picks: %s)", strings.Join(parts, ", "))
 		}
 		b.WriteByte('\n')
-	}
-	if s.Compile.Compiles > 0 {
-		fmt.Fprintf(&b, "  compile:  %d programs, %d instructions, %d registers\n",
-			s.Compile.Compiles, s.Compile.Instructions, s.Compile.Registers)
 	}
 	if s.Bitslice.Batches > 0 || s.Bitslice.Plans > 0 {
 		fmt.Fprintf(&b, "  bitslice: %d plans (%d ops, %d regs), %d batches, %d packets, %d fallbacks\n",

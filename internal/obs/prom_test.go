@@ -20,8 +20,6 @@ func sampleSnapshot() Snapshot {
 	s.DAG.Nodes = 321
 	s.BDD = BDDStats{Nodes: 1000, CacheHits: 400, CacheMisses: 100, UniqueHits: 50}
 	s.SAT = SATStats{Vars: 64, Clauses: 900, Learned: 30, Decisions: 200, Propagations: 4000, Conflicts: 25, Restarts: 2}
-	s.Compile.Compiles = 2
-	s.Compile.Instructions = 150
 	s.StateSet = StateSetStats{Transformers: 1, Forwards: 3, Reverses: 2}
 	s.Fuzz = FuzzStats{Execs: 500, Divergences: 1}
 	s.Lint = LintStats{Models: 4, Findings: 2}

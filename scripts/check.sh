@@ -76,12 +76,12 @@ go run ./cmd/zencodegen -model nets/acl.allow -dir "$cgdir"
 (cd "$cgdir" && GOWORK=off go vet ./... && GOWORK=off go build ./...)
 
 # The fixed-seed campaign is also the portfolio verdict-parity gate and
-# the presolve-parity gate: every query runs on all seven engines
-# (interp, compiled, bitslice, bdd, sat, erased, portfolio) and
+# the presolve-parity gate: every query runs on all six engines
+# (interp, bitslice, bdd, sat, stateset, portfolio) and
 # additionally solves the presolve-simplified DAG, failing on any
 # verdict, witness, model-count, lane, or simplified-vs-original
 # divergence.
-echo "== zenfuzz smoke (deterministic 2k-query seven-engine + presolve parity campaign)"
+echo "== zenfuzz smoke (deterministic 2k-query six-engine + presolve parity campaign)"
 go run ./cmd/zenfuzz -n 2000 -seed 1 -progress 0
 
 echo "== go test -fuzz (10s per target)"

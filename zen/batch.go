@@ -2,8 +2,11 @@ package zen
 
 import (
 	"context"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"sync"
+	"weak"
 
 	"zen-go/internal/bitslice"
 	"zen-go/internal/cancel"
@@ -17,10 +20,18 @@ import (
 // machine word.
 const BatchLanes = bitslice.Lanes
 
-// planCache memoizes bitslice plans per result DAG. Roots are hash-consed
-// and long-lived (they belong to models), so keying on the node pointer
-// is sound and the cache stays bounded by the number of distinct models.
-var planCache sync.Map // *core.Node -> *planEntry
+// planCache memoizes bitslice plans per model: a result DAG together
+// with the argument variables it is compiled over, since a root that
+// reads no argument (a constant) is shared by models over different
+// variables. The root is held weakly and its entry deleted once it is
+// collected, so the cache keeps no dropped model alive; a plan holds
+// types, not nodes.
+var planCache sync.Map // planKey -> *planEntry
+
+type planKey struct {
+	root weak.Pointer[core.Node]
+	args string // the argument variable ids, 4 bytes each
+}
 
 type planEntry struct {
 	once sync.Once
@@ -29,16 +40,33 @@ type planEntry struct {
 }
 
 // planFor compiles (or fetches) the bitslice plan for a model's result
-// DAG. compiled reports whether this call performed the compilation,
-// so callers can attribute plan-size telemetry exactly once.
-func planFor(root *core.Node, args []*core.Node) (plan *bitslice.Plan, compiled bool, err error) {
-	e, _ := planCache.LoadOrStore(root, &planEntry{})
+// DAG over its argument variables. The call that compiles the plan
+// records its size to rec (which may be nil), so plan telemetry is
+// attributed exactly once.
+func planFor(rec *obs.Rec, root *core.Node, args []*core.Node) (*bitslice.Plan, error) {
+	ids := make([]byte, 0, 4*len(args))
+	for _, a := range args {
+		ids = binary.LittleEndian.AppendUint32(ids, uint32(a.VarID))
+	}
+	key := planKey{root: weak.Make(root), args: string(ids)}
+	e, ok := planCache.Load(key)
+	if !ok {
+		if e, ok = planCache.LoadOrStore(key, &planEntry{}); !ok {
+			runtime.AddCleanup(root, func(k planKey) { planCache.Delete(k) }, key)
+		}
+	}
 	entry := e.(*planEntry)
 	entry.once.Do(func() {
 		entry.plan, entry.err = bitslice.Compile(root, args...)
-		compiled = true
+		if entry.err == nil {
+			rec.Add(obs.Snapshot{Bitslice: obs.BitsliceStats{
+				Plans:    1,
+				PlanOps:  int64(entry.plan.NumOps()),
+				PlanRegs: int64(entry.plan.NumRegs()),
+			}})
+		}
 	})
-	return entry.plan, compiled, entry.err
+	return entry.plan, entry.err
 }
 
 // BatchCompiles reports whether a model's result DAG is inside the
@@ -46,7 +74,7 @@ func planFor(root *core.Node, args []*core.Node) (plan *bitslice.Plan, compiled 
 // will run the bitsliced engine rather than the scalar fallback. The
 // service layer uses it to stamp stream provenance up front.
 func BatchCompiles(q Queryable) bool {
-	_, _, err := planFor(q.QueryOut(), q.QueryArgs())
+	_, err := planFor(nil, q.QueryOut(), q.QueryArgs())
 	return err == nil
 }
 
@@ -151,7 +179,7 @@ func runBatch(rec *obs.Rec, chk cancel.Check, root *core.Node, args []*core.Node
 	bind func(p *bitslice.Plan, regs []uint64, lane, i int) error,
 	set func(i int, v *interp.Value)) error {
 	stop := rec.Phase("plan")
-	plan, compiled, err := planFor(root, args)
+	plan, err := planFor(rec, root, args)
 	stop()
 	if err != nil {
 		rec.Add(obs.Snapshot{Bitslice: obs.BitsliceStats{Fallbacks: 1, Packets: int64(n)}})
@@ -161,14 +189,6 @@ func runBatch(rec *obs.Rec, chk cancel.Check, root *core.Node, args []*core.Node
 		}
 		return nil
 	}
-	if compiled {
-		rec.Add(obs.Snapshot{Bitslice: obs.BitsliceStats{
-			Plans:    1,
-			PlanOps:  int64(plan.NumOps()),
-			PlanRegs: int64(plan.NumRegs()),
-		}})
-	}
-
 	regs := plan.AcquireRegs()
 	defer plan.ReleaseRegs(regs)
 	stop = rec.Phase("run")

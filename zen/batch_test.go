@@ -147,3 +147,18 @@ func TestPackageLevelEvaluateBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestEvaluateBatchInputIndependentModels: models whose output reads no
+// input share one result DAG (the constant) but not their argument
+// variable, so each needs a plan of its own to bind its input.
+func TestEvaluateBatchInputIndependentModels(t *testing.T) {
+	for i := 0; i < 2; i++ {
+		fn := zen.Func(func(zen.Value[uint8]) zen.Value[bool] { return zen.True() })
+		if got := fn.EvaluateBatch([]uint8{1, 2}); len(got) != 2 || !got[0] || !got[1] {
+			t.Fatalf("model %d: EvaluateBatch = %v, want [true true]", i, got)
+		}
+		if !fn.Compile()(3) {
+			t.Fatalf("model %d: compiled(3) = false, want true", i)
+		}
+	}
+}

@@ -5,7 +5,7 @@ import (
 
 	"zen-go/internal/backends"
 	"zen-go/internal/bdd"
-	"zen-go/internal/compilejit"
+	"zen-go/internal/bitslice"
 	"zen-go/internal/core"
 	"zen-go/internal/interp"
 	"zen-go/internal/obs"
@@ -84,43 +84,64 @@ func generateWith[I any, B comparable](mk func() sym.Solver[B], paths []testgen.
 	return out
 }
 
-// compileProgram compiles a DAG under telemetry: compile time is recorded
-// as a "compile" phase and program size as compile counters.
-func compileProgram(o Options, node *coreNode, vars ...*coreNode) *compilejit.Program {
+// compileEval returns an evaluator of root over args, given their values
+// in args order: one lane of the model's cached bitslice plan (the plan
+// EvaluateBatch, the /v1/evaluate stream and Codegen run), or the
+// interpreter for models outside the plan fragment (lists). It is safe
+// for concurrent use; each call takes its own registers or environment.
+// Compilation is recorded as a "compile" analysis under o, with the
+// plan counters if this call compiled the plan.
+func compileEval(o Options, root *coreNode, args ...*coreNode) func(vals ...*interp.Value) *interp.Value {
 	rec := obs.Begin(o.Stats, o.Tracer, "compile", "compile")
 	defer rec.End()
-	o.measureDAG(rec, node)
+	o.measureDAG(rec, root)
 	stop := rec.Phase("compile")
-	prog := compilejit.Compile(node, vars...)
+	plan, err := planFor(rec, root, args)
 	stop()
-	rec.Add(obs.Snapshot{Compile: obs.CompileStats{
-		Compiles:     1,
-		Instructions: int64(prog.NumInstrs()),
-		Registers:    int64(prog.NumRegs()),
-	}})
-	return prog
-}
-
-// Compile extracts an executable Go implementation from the model (§8):
-// the expression DAG is compiled once into a register program of
-// pre-dispatched closures, so the returned function evaluates without
-// symbolic machinery. The implementation is by construction in sync with
-// the verified model. Compilation (not the returned function) is
-// instrumented under the function's attached options (see Use).
-func (fn *Fn[I, O]) Compile() func(I) O {
-	prog := compileProgram(fn.options(nil), fn.out.n, fn.arg.n)
-	rt := reflect.TypeOf((*O)(nil)).Elem()
-	return func(x I) O {
-		v := prog.Run(liftValue(reflectValue(x)))
-		return toGo(v, rt).Interface().(O)
+	if err != nil {
+		return func(vals ...*interp.Value) *interp.Value {
+			env := make(interp.Env, len(args))
+			for i, a := range args {
+				env[a.VarID] = vals[i]
+			}
+			return interp.Eval(root, env)
+		}
+	}
+	return func(vals ...*interp.Value) *interp.Value {
+		regs := plan.AcquireRegs()
+		defer plan.ReleaseRegs(regs)
+		for i, a := range args {
+			if err := plan.Bind(regs, a.VarID, 0, vals[i]); err != nil {
+				panic("zen: compiled model: " + err.Error())
+			}
+		}
+		plan.Run(regs)
+		return plan.Lane(regs, 0)
 	}
 }
 
-// CompileRaw exposes the compiled program for benchmarks that want to
-// exclude Go-value conversion costs.
-func (fn *Fn[I, O]) CompileRaw() (*compilejit.Program, func(I) *interp.Value) {
-	prog := compileProgram(fn.options(nil), fn.out.n, fn.arg.n)
-	return prog, func(x I) *interp.Value { return liftValue(reflectValue(x)) }
+// Compile extracts an executable Go implementation from the model (§8):
+// the returned function runs the model's bitslice plan on one lane — the
+// plan EvaluateBatch runs 64 lanes at a time — or, for models that use
+// lists, the interpreter. It evaluates without symbolic machinery, is
+// by construction in sync with the verified model, and is safe for
+// concurrent use. Compilation (not the returned function) is
+// instrumented under the function's attached options (see Use).
+func (fn *Fn[I, O]) Compile() func(I) O {
+	eval := compileEval(fn.options(nil), fn.out.n, fn.arg.n)
+	rt := reflect.TypeOf((*O)(nil)).Elem()
+	return func(x I) O {
+		return toGo(eval(liftValue(reflectValue(x))), rt).Interface().(O)
+	}
+}
+
+// CompileRaw returns the model's cached bitslice plan (nil for models
+// outside the plan fragment) and the conversion of a Go input to an
+// interpreter value. perfbench's dataplane workload calls it for the
+// conversion; it goes with the next change to perfbench.
+func (fn *Fn[I, O]) CompileRaw() (*bitslice.Plan, func(I) *interp.Value) {
+	plan, _ := planFor(nil, fn.out.n, []*core.Node{fn.arg.n})
+	return plan, func(x I) *interp.Value { return liftValue(reflectValue(x)) }
 }
 
 // PathConditions exposes the model's branch paths (for diagnostics and the

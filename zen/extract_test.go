@@ -2,6 +2,8 @@ package zen_test
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -122,6 +124,104 @@ func TestCompileOptionModel(t *testing.T) {
 			t.Fatalf("x=%d: compiled=%+v evaluate=%+v", x, got, want)
 		}
 	}
+}
+
+// compileAgrees checks a compiled model against Evaluate on inputs, and
+// whether the model is inside the bitslice plan fragment.
+func compileAgrees[I, O any](t *testing.T, fn *zen.Fn[I, O], inPlan bool, inputs []I) {
+	t.Helper()
+	if got := zen.BatchCompiles(fn); got != inPlan {
+		t.Fatalf("BatchCompiles = %v, want %v", got, inPlan)
+	}
+	compiled := fn.Compile()
+	for _, x := range inputs {
+		if got, want := compiled(x), fn.Evaluate(x); !reflect.DeepEqual(got, want) {
+			t.Fatalf("input %v: compiled %v, Evaluate %v", x, got, want)
+		}
+	}
+}
+
+func randLists(seed int64, n, maxLen int) [][]uint8 {
+	rng := rand.New(rand.NewSource(seed))
+	ls := make([][]uint8, n)
+	for i := range ls {
+		ls[i] = make([]uint8, rng.Intn(maxLen+1))
+		for j := range ls[i] {
+			ls[i][j] = uint8(rng.Intn(256))
+		}
+	}
+	return ls
+}
+
+// TestCompileAgreesWithEvaluate covers both evaluators behind Compile:
+// list-free models run on the bitslice plan, list models on the
+// interpreter.
+func TestCompileAgreesWithEvaluate(t *testing.T) {
+	hs := randHeaders(21, 200)
+	t.Run("list-free", func(t *testing.T) {
+		compileAgrees(t, zen.Func(func(h zen.Value[Header]) zen.Value[Header] {
+			port := zen.GetField[Header, uint16](h, "DstPort")
+			return zen.WithField(h, "DstPort", zen.If(zen.LtC(port, 1024), zen.AddC(port, 1), port))
+		}), true, hs)
+	})
+	t.Run("list", func(t *testing.T) {
+		compileAgrees(t, zen.Func(func(l zen.Value[[]uint8]) zen.Value[uint8] {
+			return zen.Fold(l, 4, zen.Lift[uint8](0), func(h, acc zen.Value[uint8]) zen.Value[uint8] {
+				return zen.If(zen.Lt(acc, h), h, acc)
+			})
+		}), false, randLists(21, 200, 6))
+	})
+	t.Run("fn2", func(t *testing.T) {
+		f := zen.Func2(func(h zen.Value[Header], d zen.Value[uint32]) zen.Value[bool] {
+			return zen.Eq(zen.GetField[Header, uint32](h, "DstIP"), zen.BitAnd(d, zen.Lift(uint32(0xFFFF0000))))
+		})
+		if !zen.BatchCompiles(f) {
+			t.Fatal("Fn2 model is outside the plan fragment")
+		}
+		compiled := f.Compile()
+		for i, h := range hs {
+			d := h.DstIP
+			if i%2 == 1 {
+				d = h.SrcIP
+			}
+			if got, want := compiled(h, d), f.Evaluate(h, d); got != want {
+				t.Fatalf("input %+v, %d: compiled %v, Evaluate %v", h, d, got, want)
+			}
+		}
+	})
+	t.Run("input-independent", func(t *testing.T) {
+		for i := 0; i < 2; i++ {
+			compileAgrees(t, zen.Func(func(zen.Value[Header]) zen.Value[uint8] { return zen.Lift[uint8](7) }), true, hs[:4])
+		}
+	})
+}
+
+// TestCompileConcurrentCalls calls one compiled function from several
+// goroutines, on the plan and on the interpreter (run under -race).
+func TestCompileConcurrentCalls(t *testing.T) {
+	acl, sum := zen.Func(batchModel), zen.Func(func(l zen.Value[[]uint8]) zen.Value[uint8] {
+		return zen.Fold(l, 4, zen.Lift[uint8](0), func(h, acc zen.Value[uint8]) zen.Value[uint8] { return zen.Add(h, acc) })
+	})
+	aclC, sumC := acl.Compile(), sum.Compile()
+	hs, ls := randHeaders(31, 400), randLists(31, 400, 6)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < len(hs); i += 4 {
+				if got, want := aclC(hs[i]), acl.Evaluate(hs[i]); got != want {
+					t.Errorf("goroutine %d, header %+v: compiled %d, Evaluate %d", g, hs[i], got, want)
+					return
+				}
+				if got, want := sumC(ls[i]), sum.Evaluate(ls[i]); got != want {
+					t.Errorf("goroutine %d, list %v: compiled %d, Evaluate %d", g, ls[i], got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestModelStats(t *testing.T) {

@@ -81,12 +81,13 @@ func (fn *Fn2[A, B, O]) VerifyCtx(ctx context.Context, property func(Value[A], V
 	return !found && err == nil, a, b, err
 }
 
-// Compile extracts an executable two-argument implementation.
+// Compile extracts an executable two-argument implementation, evaluated
+// like Fn.Compile: one lane of the model's bitslice plan, or the
+// interpreter for models that use lists. It is safe for concurrent use.
 func (fn *Fn2[A, B, O]) Compile() func(A, B) O {
-	prog := compileProgram(buildOptions(nil), fn.out.n, fn.argA.n, fn.argB.n)
+	eval := compileEval(buildOptions(nil), fn.out.n, fn.argA.n, fn.argB.n)
 	rt := reflect.TypeOf((*O)(nil)).Elem()
 	return func(a A, b B) O {
-		v := prog.Run(liftValue(reflectValue(a)), liftValue(reflectValue(b)))
-		return toGo(v, rt).Interface().(O)
+		return toGo(eval(liftValue(reflectValue(a)), liftValue(reflectValue(b))), rt).Interface().(O)
 	}
 }

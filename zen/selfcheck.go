@@ -13,8 +13,9 @@ import (
 // itself — the per-model entry point to the differential harness that
 // cmd/zenfuzz runs over randomly generated models.
 //
-// For trials random concrete inputs it checks that compiled execution
-// (Compile) matches interpretation (Evaluate), and that Find with the
+// For trials random concrete inputs it checks that the compiled model
+// (Compile: one lane of the bitslice plan, or the interpreter for models
+// with lists) matches interpretation (Evaluate), and that Find with the
 // predicate input == x recovers exactly x on both the BDD and SAT backends.
 // When the model's output is bool it additionally runs the full
 // differential oracle (solver agreement, model soundness, state-set

@@ -141,11 +141,11 @@ func TestStatsEvaluateViaUse(t *testing.T) {
 	if s.AnalysesBy["interp"] != 1 {
 		t.Fatalf("interp analyses = %d, want 1 (%v)", s.AnalysesBy["interp"], s.AnalysesBy)
 	}
-	if s.AnalysesBy["compile"] != 1 || s.Compile.Compiles != 1 {
-		t.Fatalf("compile not recorded: %v %+v", s.AnalysesBy, s.Compile)
+	if s.AnalysesBy["compile"] != 1 || s.Bitslice.Plans != 1 {
+		t.Fatalf("compile not recorded: %v %+v", s.AnalysesBy, s.Bitslice)
 	}
-	if s.Compile.Instructions == 0 || s.Compile.Registers == 0 {
-		t.Fatalf("compile size counters empty: %+v", s.Compile)
+	if s.Bitslice.PlanOps == 0 || s.Bitslice.PlanRegs == 0 {
+		t.Fatalf("plan size counters empty: %+v", s.Bitslice)
 	}
 }
 
