@@ -11,7 +11,7 @@
 // -o writes the generated file (default stdout). -dir instead lays out a
 // buildable module: <dir>/go.mod plus <dir>/<pkg>/<pkg>.go, ready for
 // `go build ./...` — the shape the CI codegen smoke step compiles.
-// Models outside the bitslice fragment (lists) are rejected.
+// Models that use lists are rejected.
 package main
 
 import (

@@ -6,25 +6,25 @@
 // evaluators hold one packet per value, a plan register holds one *bit
 // position* across 64 packets — bit i of the register belongs to lane i.
 // A 32-bit header field therefore occupies 32 registers, and a single
-// `AND` instruction advances all 64 lanes one gate at a time. The ternary
-// backend's two-words-per-value encoding already proved out this per-bit
-// layout; bitslice turns it from an abstract domain into an execution
-// strategy.
+// `AND` instruction advances all 64 lanes one gate at a time.
 //
-// Compilation maps every DAG node to a slice of register indices (one per
-// bit of its type, LSB first; objects concatenate their fields in type
-// order). Structural operators — GetField, Create, WithField, Shl/Shr by
-// a constant, Cast, Adapt — compile to pure index bookkeeping and cost
-// zero instructions. Logic compiles to single word ops, arithmetic to
-// ripple-carry/borrow chains, and If to select-masks: out = (then & m) |
-// (else &^ m), where m is the condition's lane mask. Because evaluation
-// is total (no side effects, no partiality), computing both branches of
-// every If is semantics-preserving.
+// The plan is built by sym.Eval, the evaluator that also drives the
+// ternary, BDD and SAT backends, over an algebra whose bits are plan
+// registers: True and False are the constant registers, each Not, And,
+// Or, Xor and Ite becomes one word instruction (folded and
+// value-numbered), and Fresh allocates an input register. So the plan
+// computes exactly the gates the solvers reason about. Structural
+// operators — GetField, Create, WithField, shifts by a constant, Cast,
+// Adapt — move register indices and cost zero instructions. If becomes a
+// lane-masked select, out = (then & m) | (else &^ m); because evaluation
+// is total (no side effects, no partiality), computing both branches is
+// semantics-preserving. List operators inside a model are expanded by
+// sym into guarded unions of fixed shapes, as for every other backend.
 //
-// Lists are the one unsupported corner: a ListCase per lane would need
-// per-lane control flow, which is exactly what bitslicing removes.
-// Compile reports such models with an *UnsupportedError* so callers can
-// fall back to the scalar path.
+// What the plan cannot hold is a list-typed input or result: its length
+// differs per lane, and a register file has one fixed shape. Compile
+// reports such models with an *UnsupportedError* so callers can fall back
+// to the scalar path.
 package bitslice
 
 import (
@@ -32,6 +32,7 @@ import (
 	"sync"
 
 	"zen-go/internal/core"
+	"zen-go/internal/sym"
 )
 
 // Lanes is the batch width: one plan execution evaluates this many
@@ -39,8 +40,8 @@ import (
 const Lanes = 64
 
 // Reserved registers: every plan keeps register 0 all-zeros and register
-// 1 all-ones. Constants and shift fill compile to references to these,
-// costing no instructions.
+// 1 all-ones, the algebra's False and True. Constants and shift fill
+// compile to references to these, costing no instructions.
 const (
 	regZero int32 = 0
 	regOnes int32 = 1
@@ -55,12 +56,7 @@ const (
 	opOr                   // dst = a | b
 	opXor                  // dst = a ^ b
 	opAndNot               // dst = a &^ b
-	opXnor                 // dst = ^(a ^ b)           (single-word equality)
-	opEqAnd                // dst = c &^ (a ^ b)       (equality-chain step)
-	opXor3                 // dst = a ^ b ^ c          (sum/difference bit)
-	opMaj                  // dst = (a&b) | (c&(a^b))  (carry out of a+b+c)
-	opBrw                  // dst = (^a&(b|c)) | (b&c) (borrow out of a-b-c)
-	opSelect               // dst = (a&c) | (b&^c)     (If: then=a, else=b, mask=c)
+	opSelect               // dst = (a&c) | (b&^c) (If: then=a, else=b, mask=c)
 )
 
 // inst is one plan instruction. Unused operands are regZero.
@@ -92,8 +88,8 @@ type Plan struct {
 	regPool sync.Pool
 }
 
-// UnsupportedError reports a DAG the bitslice engine cannot compile
-// (list-typed values or list operators). Callers should treat it as a
+// UnsupportedError reports a model the bitslice engine cannot compile
+// (a list-typed input or result). Callers should treat it as a
 // signal to fall back to scalar evaluation, not as a model bug.
 type UnsupportedError struct {
 	Reason string
@@ -108,88 +104,90 @@ func IsUnsupported(err error) bool {
 	return ok
 }
 
-func unsupported(format string, args ...any) {
-	panic(&UnsupportedError{Reason: fmt.Sprintf(format, args...)})
-}
-
-// numWords returns how many bit registers a value of type t occupies.
-func numWords(t *core.Type) int {
-	switch t.Kind {
-	case core.KindBool:
-		return 1
-	case core.KindBV:
-		return t.Width
-	case core.KindObject:
-		n := 0
-		for _, f := range t.Fields {
-			n += numWords(f.Type)
-		}
-		return n
-	}
-	unsupported("list-typed value (%s)", t)
-	return 0
-}
-
-// compiler lowers a DAG into a plan, memoizing per node (hash-consing
-// makes pointer identity structural identity, so shared sub-DAGs compile
-// once) and value-numbering emitted instructions so identical word ops
-// are issued once.
-type compiler struct {
+// algebra builds a plan: it is the sym.Algebra whose bits are plan
+// registers, so sym.Eval — the evaluator behind the BDD, SAT and ternary
+// backends — lowers the DAG, and each gate it asks for becomes (at most)
+// one instruction. Gates fold against the constant registers and are
+// value-numbered, so identical word ops are issued once.
+type algebra struct {
 	insts []inst
 	next  int32
-	memo  map[*core.Node][]int32
-	vars  map[int32][]int32
 	cse   map[inst]int32
 	inv   map[int32]int32 // register -> its bitwise complement, both ways
 }
 
 // Compile lowers root into a plan. Every variable root references must
 // appear in vars; extra variables are allowed (their input registers are
-// simply never read). Models using lists compile to an
-// *UnsupportedError*.
-func Compile(root *core.Node, vars ...*core.Node) (p *Plan, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if ue, ok := r.(*UnsupportedError); ok {
-				p, err = nil, ue
-				return
-			}
-			panic(r)
-		}
-	}()
-	c := &compiler{
+// simply never read). List operators inside the DAG are supported (sym
+// expands them into guarded unions of fixed shapes); list-typed
+// variables or results compile to an *UnsupportedError*.
+func Compile(root *core.Node, vars ...*core.Node) (*Plan, error) {
+	if hasList(root.Type) {
+		return nil, &UnsupportedError{Reason: fmt.Sprintf("list-typed result (%s)", root.Type)}
+	}
+	alg := &algebra{
 		next: 2, // regZero, regOnes
-		memo: make(map[*core.Node][]int32),
-		vars: make(map[int32][]int32),
 		cse:  make(map[inst]int32),
 		inv:  make(map[int32]int32),
 	}
-	plan := &Plan{vars: c.vars}
+	plan := &Plan{vars: make(map[int32][]int32)}
+	env := make(sym.Env[int32], len(vars))
 	for _, v := range vars {
 		if v.Op != core.OpVar {
 			return nil, fmt.Errorf("bitslice: Compile argument is not a variable (op %s)", v.Op)
 		}
-		if _, dup := c.vars[v.VarID]; dup {
+		if hasList(v.Type) {
+			return nil, &UnsupportedError{Reason: fmt.Sprintf("list-typed variable %s (%s)", v.Name, v.Type)}
+		}
+		if _, dup := env[v.VarID]; dup {
 			continue
 		}
-		n := numWords(v.Type)
-		words := make([]int32, n)
-		for i := range words {
-			words[i] = c.alloc()
-		}
-		c.vars[v.VarID] = words
-		c.memo[v] = words
+		in := sym.Fresh[int32](alg, v.Type, 0, v.Name)
+		env[v.VarID] = in.Val
+		plan.vars[v.VarID] = flatten(nil, in.Val)
 		plan.varInfo = append(plan.varInfo, VarInfo{ID: v.VarID, Name: v.Name, Type: v.Type})
 	}
-	plan.out = c.compile(root)
+	plan.out = flatten(nil, sym.Eval[int32](alg, root, env))
+	if len(plan.out) != root.Type.NumBits(0) {
+		// An Adapt between types of different shapes: sym keeps the
+		// inner representation, which the result type cannot decode.
+		return nil, &UnsupportedError{Reason: fmt.Sprintf("result does not have the shape of %s", root.Type)}
+	}
 	plan.outType = root.Type
-	plan.insts = c.insts
-	plan.numRegs = c.next
+	plan.insts = alg.insts
+	plan.numRegs = alg.next
 	plan.regPool.New = func() any { return make([]uint64, plan.numRegs) }
 	return plan, nil
 }
 
-func (c *compiler) alloc() int32 {
+// flatten appends v's registers to out in codec order: booleans one bit,
+// bitvectors LSB first, object fields in type order.
+func flatten(out []int32, v *sym.Val[int32]) []int32 {
+	switch v.Typ.Kind {
+	case core.KindBool:
+		return append(out, v.Bit)
+	case core.KindBV:
+		return append(out, v.Bits...)
+	}
+	for _, f := range v.Fields {
+		out = flatten(out, f)
+	}
+	return out
+}
+
+func hasList(t *core.Type) bool {
+	if t.Kind == core.KindList {
+		return true
+	}
+	for _, f := range t.Fields {
+		if hasList(f.Type) {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *algebra) alloc() int32 {
 	r := c.next
 	c.next++
 	return r
@@ -197,7 +195,7 @@ func (c *compiler) alloc() int32 {
 
 // emit value-numbers and appends one instruction, returning its
 // destination register.
-func (c *compiler) emit(op opcode, a, b, cc int32) int32 {
+func (c *algebra) emit(op opcode, a, b, cc int32) int32 {
 	key := inst{op: op, a: a, b: b, c: cc}
 	if dst, ok := c.cse[key]; ok {
 		return dst
@@ -208,7 +206,7 @@ func (c *compiler) emit(op opcode, a, b, cc int32) int32 {
 	return dst
 }
 
-// sort2/sort3 canonicalize commutative operands so value numbering hits.
+// sort2 canonicalizes commutative operands so value numbering hits.
 func sort2(a, b int32) (int32, int32) {
 	if b < a {
 		return b, a
@@ -216,21 +214,20 @@ func sort2(a, b int32) (int32, int32) {
 	return a, b
 }
 
-func sort3(a, b, c int32) (int32, int32, int32) {
-	a, b = sort2(a, b)
-	b, c = sort2(b, c)
-	a, b = sort2(a, b)
-	return a, b, c
-}
-
-// --- peephole-simplifying emit helpers ---
+// --- sym.Algebra ---
 //
 // The builder already constant-folds at the DAG level; these fold at the
-// register level, where comparisons against constants turn xnor chains
+// register level, where comparisons against constants turn xor chains
 // into plain complements and mask selects collapse. regZero/regOnes are
 // the only registers with statically known contents.
 
-func (c *compiler) not(a int32) int32 {
+func (c *algebra) True() int32             { return regOnes }
+func (c *algebra) False() int32            { return regZero }
+func (c *algebra) IsTrue(a int32) bool     { return a == regOnes }
+func (c *algebra) IsFalse(a int32) bool    { return a == regZero }
+func (c *algebra) Fresh(name string) int32 { return c.alloc() }
+
+func (c *algebra) Not(a int32) int32 {
 	switch a {
 	case regZero:
 		return regOnes
@@ -246,7 +243,7 @@ func (c *compiler) not(a int32) int32 {
 	return dst
 }
 
-func (c *compiler) and(a, b int32) int32 {
+func (c *algebra) And(a, b int32) int32 {
 	a, b = sort2(a, b)
 	switch {
 	case a == regZero:
@@ -259,7 +256,7 @@ func (c *compiler) and(a, b int32) int32 {
 	return c.emit(opAnd, a, b, regZero)
 }
 
-func (c *compiler) or(a, b int32) int32 {
+func (c *algebra) Or(a, b int32) int32 {
 	a, b = sort2(a, b)
 	switch {
 	case a == regZero:
@@ -272,7 +269,7 @@ func (c *compiler) or(a, b int32) int32 {
 	return c.emit(opOr, a, b, regZero)
 }
 
-func (c *compiler) xor(a, b int32) int32 {
+func (c *algebra) Xor(a, b int32) int32 {
 	a, b = sort2(a, b)
 	switch {
 	case a == b:
@@ -280,121 +277,27 @@ func (c *compiler) xor(a, b int32) int32 {
 	case a == regZero:
 		return b
 	case a == regOnes:
-		return c.not(b)
+		return c.Not(b)
 	case b == regOnes:
-		return c.not(a)
+		return c.Not(a)
 	}
 	return c.emit(opXor, a, b, regZero)
 }
 
-func (c *compiler) andnot(a, b int32) int32 { // a &^ b
+func (c *algebra) andnot(a, b int32) int32 { // a &^ b
 	switch {
 	case a == regZero || b == regOnes || a == b:
 		return regZero
 	case b == regZero:
 		return a
 	case a == regOnes:
-		return c.not(b)
+		return c.Not(b)
 	}
 	return c.emit(opAndNot, a, b, regZero)
 }
 
-func (c *compiler) xnor(a, b int32) int32 {
-	a, b = sort2(a, b)
-	switch {
-	case a == b:
-		return regOnes
-	case a == regZero:
-		return c.not(b)
-	case a == regOnes:
-		return b
-	case b == regOnes:
-		return a
-	}
-	return c.emit(opXnor, a, b, regZero)
-}
-
-// eqand is one equality-chain step: acc & (a == b), bit-parallel.
-func (c *compiler) eqand(a, b, acc int32) int32 {
-	a, b = sort2(a, b)
-	switch {
-	case acc == regZero:
-		return regZero
-	case a == b:
-		return acc
-	case acc == regOnes:
-		return c.xnor(a, b)
-	case a == regZero:
-		return c.andnot(acc, b)
-	case b == regZero:
-		return c.andnot(acc, a)
-	case a == regOnes:
-		return c.and(acc, b)
-	case b == regOnes:
-		return c.and(acc, a)
-	}
-	return c.emit(opEqAnd, a, b, acc)
-}
-
-func (c *compiler) xor3(a, b, cc int32) int32 {
-	switch {
-	case a == regZero:
-		return c.xor(b, cc)
-	case b == regZero:
-		return c.xor(a, cc)
-	case cc == regZero:
-		return c.xor(a, b)
-	}
-	a, b, cc = sort3(a, b, cc)
-	return c.emit(opXor3, a, b, cc)
-}
-
-// maj is the carry out of a+b+c: the majority function.
-func (c *compiler) maj(a, b, cc int32) int32 {
-	switch {
-	case a == b || a == cc:
-		return a
-	case b == cc:
-		return b
-	case a == regZero:
-		return c.and(b, cc)
-	case b == regZero:
-		return c.and(a, cc)
-	case cc == regZero:
-		return c.and(a, b)
-	case a == regOnes:
-		return c.or(b, cc)
-	case b == regOnes:
-		return c.or(a, cc)
-	case cc == regOnes:
-		return c.or(a, b)
-	}
-	a, b, cc = sort3(a, b, cc)
-	return c.emit(opMaj, a, b, cc)
-}
-
-// brw is the borrow out of a-b-c (b and c symmetric).
-func (c *compiler) brw(a, b, cc int32) int32 {
-	b, cc = sort2(b, cc)
-	switch {
-	case b == cc:
-		return b
-	case b == regZero && cc == regZero:
-		return regZero
-	case a == regZero:
-		return c.or(b, cc)
-	case a == regOnes:
-		return c.and(b, cc)
-	case b == regZero:
-		return c.andnot(cc, a)
-	case cc == regZero:
-		return c.andnot(b, a)
-	}
-	return c.emit(opBrw, a, b, cc)
-}
-
-// sel is the lane-masked If: (t & m) | (f &^ m).
-func (c *compiler) sel(t, f, m int32) int32 {
+// Ite is the lane-masked select: (t & m) | (f &^ m).
+func (c *algebra) Ite(m, t, f int32) int32 {
 	switch {
 	case t == f:
 		return t
@@ -405,276 +308,13 @@ func (c *compiler) sel(t, f, m int32) int32 {
 	case t == regOnes && f == regZero:
 		return m
 	case t == regZero && f == regOnes:
-		return c.not(m)
+		return c.Not(m)
 	case t == regZero:
 		return c.andnot(f, m)
 	case f == regZero:
-		return c.and(t, m)
+		return c.And(t, m)
 	}
 	return c.emit(opSelect, t, f, m)
-}
-
-// --- DAG lowering ---
-
-func (c *compiler) compile(n *core.Node) []int32 {
-	if words, ok := c.memo[n]; ok {
-		return words
-	}
-	words := c.lower(n)
-	if len(words) != numWords(n.Type) {
-		panic(fmt.Sprintf("bitslice: internal: %s lowered to %d words, want %d",
-			n.Op, len(words), numWords(n.Type)))
-	}
-	c.memo[n] = words
-	return words
-}
-
-func (c *compiler) lower(n *core.Node) []int32 {
-	switch n.Op {
-	case core.OpConst:
-		return c.constWords(n)
-
-	case core.OpVar:
-		// Input variables were registered up front; any other variable is
-		// a ListCase binder, which only occurs under an (unsupported)
-		// OpListCase, or a caller omission.
-		panic(fmt.Errorf("bitslice: unbound variable %q (id %d)", n.Name, n.VarID))
-
-	case core.OpNot:
-		return []int32{c.not(c.compile(n.Kids[0])[0])}
-
-	case core.OpAnd:
-		return []int32{c.and(c.compile(n.Kids[0])[0], c.compile(n.Kids[1])[0])}
-
-	case core.OpOr:
-		return []int32{c.or(c.compile(n.Kids[0])[0], c.compile(n.Kids[1])[0])}
-
-	case core.OpEq:
-		a, b := c.compile(n.Kids[0]), c.compile(n.Kids[1])
-		if len(a) == 0 { // fieldless objects are always equal
-			return []int32{regOnes}
-		}
-		acc := c.xnor(a[0], b[0])
-		for i := 1; i < len(a); i++ {
-			acc = c.eqand(a[i], b[i], acc)
-		}
-		return []int32{acc}
-
-	case core.OpLt:
-		a, b := c.compile(n.Kids[0]), c.compile(n.Kids[1])
-		t := n.Kids[0].Type
-		bor := regZero
-		for i := 0; i < t.Width; i++ {
-			ai, bi := a[i], b[i]
-			if t.Signed && i == t.Width-1 {
-				// Signed order is unsigned order with the sign bit
-				// flipped on both operands.
-				ai, bi = c.not(ai), c.not(bi)
-			}
-			bor = c.brw(ai, bi, bor)
-		}
-		return []int32{bor}
-
-	case core.OpAdd:
-		return c.addWords(c.compile(n.Kids[0]), c.compile(n.Kids[1]))
-
-	case core.OpSub:
-		a, b := c.compile(n.Kids[0]), c.compile(n.Kids[1])
-		out := make([]int32, len(a))
-		bor := regZero
-		for i := range a {
-			out[i] = c.xor3(a[i], b[i], bor)
-			if i+1 < len(a) {
-				bor = c.brw(a[i], b[i], bor)
-			}
-		}
-		return out
-
-	case core.OpMul:
-		// Shift-and-add: O(w^2) word instructions. zenlint's cost advisor
-		// flags wide multiplies for exactly this reason.
-		a, b := c.compile(n.Kids[0]), c.compile(n.Kids[1])
-		w := len(a)
-		res := make([]int32, w)
-		for i := range res {
-			res[i] = regZero
-		}
-		pp := make([]int32, w)
-		for j := 0; j < w; j++ {
-			if b[j] == regZero {
-				continue
-			}
-			for i := 0; i < w; i++ {
-				if i < j {
-					pp[i] = regZero
-				} else {
-					pp[i] = c.and(a[i-j], b[j])
-				}
-			}
-			res = c.addWords(res, pp)
-		}
-		return res
-
-	case core.OpBAnd:
-		a, b := c.compile(n.Kids[0]), c.compile(n.Kids[1])
-		out := make([]int32, len(a))
-		for i := range a {
-			out[i] = c.and(a[i], b[i])
-		}
-		return out
-
-	case core.OpBOr:
-		a, b := c.compile(n.Kids[0]), c.compile(n.Kids[1])
-		out := make([]int32, len(a))
-		for i := range a {
-			out[i] = c.or(a[i], b[i])
-		}
-		return out
-
-	case core.OpBXor:
-		a, b := c.compile(n.Kids[0]), c.compile(n.Kids[1])
-		out := make([]int32, len(a))
-		for i := range a {
-			out[i] = c.xor(a[i], b[i])
-		}
-		return out
-
-	case core.OpBNot:
-		a := c.compile(n.Kids[0])
-		out := make([]int32, len(a))
-		for i := range a {
-			out[i] = c.not(a[i])
-		}
-		return out
-
-	case core.OpShl:
-		// Shifts by a constant are register renumbering, zero instructions.
-		a := c.compile(n.Kids[0])
-		w, k := len(a), n.Index
-		out := make([]int32, w)
-		for i := range out {
-			if i < k {
-				out[i] = regZero
-			} else {
-				out[i] = a[i-k]
-			}
-		}
-		return out
-
-	case core.OpShr:
-		a := c.compile(n.Kids[0])
-		w, k := len(a), n.Index
-		out := make([]int32, w)
-		for i := range out {
-			if i+k < w {
-				out[i] = a[i+k]
-			} else {
-				out[i] = regZero
-			}
-		}
-		return out
-
-	case core.OpIf:
-		m := c.compile(n.Kids[0])[0]
-		t, f := c.compile(n.Kids[1]), c.compile(n.Kids[2])
-		out := make([]int32, len(t))
-		for i := range t {
-			out[i] = c.sel(t[i], f[i], m)
-		}
-		return out
-
-	case core.OpCreate:
-		var out []int32
-		for _, k := range n.Kids {
-			out = append(out, c.compile(k)...)
-		}
-		if out == nil {
-			out = []int32{}
-		}
-		return out
-
-	case core.OpGetField:
-		o := c.compile(n.Kids[0])
-		off := c.fieldOffset(n.Kids[0].Type, n.Index)
-		return o[off : off+numWords(n.Type)]
-
-	case core.OpWithField:
-		o, v := c.compile(n.Kids[0]), c.compile(n.Kids[1])
-		off := c.fieldOffset(n.Kids[0].Type, n.Index)
-		out := append([]int32(nil), o...)
-		copy(out[off:], v)
-		return out
-
-	case core.OpCast:
-		a := c.compile(n.Kids[0])
-		from := n.Kids[0].Type
-		to := n.Type.Width
-		if to <= len(a) {
-			return a[:to]
-		}
-		out := append([]int32(nil), a...)
-		ext := regZero
-		if from.Signed {
-			// Sign extension replicates the top bit: the same register
-			// serves every extended position.
-			ext = a[len(a)-1]
-		}
-		for len(out) < to {
-			out = append(out, ext)
-		}
-		return out
-
-	case core.OpAdapt:
-		a := c.compile(n.Kids[0])
-		if len(a) != numWords(n.Type) {
-			unsupported("adapt between types of different bit widths (%s -> %s)",
-				n.Kids[0].Type, n.Type)
-		}
-		return a
-
-	case core.OpListNil, core.OpListCons, core.OpListCase:
-		unsupported("list operator %s", n.Op)
-	}
-	panic(fmt.Sprintf("bitslice: unknown op %v", n.Op))
-}
-
-func (c *compiler) constWords(n *core.Node) []int32 {
-	if n.Type.Kind == core.KindBool {
-		if n.BVal {
-			return []int32{regOnes}
-		}
-		return []int32{regZero}
-	}
-	out := make([]int32, n.Type.Width)
-	for i := range out {
-		if n.UVal>>uint(i)&1 == 1 {
-			out[i] = regOnes
-		} else {
-			out[i] = regZero
-		}
-	}
-	return out
-}
-
-func (c *compiler) fieldOffset(t *core.Type, index int) int {
-	off := 0
-	for i := 0; i < index; i++ {
-		off += numWords(t.Fields[i].Type)
-	}
-	return off
-}
-
-// addWords emits a ripple-carry adder over parallel bit slices.
-func (c *compiler) addWords(a, b []int32) []int32 {
-	out := make([]int32, len(a))
-	carry := regZero
-	for i := range a {
-		out[i] = c.xor3(a[i], b[i], carry)
-		if i+1 < len(a) {
-			carry = c.maj(a[i], b[i], carry)
-		}
-	}
-	return out
 }
 
 // --- Plan accessors ---
@@ -725,16 +365,6 @@ func (p *Plan) Run(regs []uint64) {
 			v = a ^ b
 		case opAndNot:
 			v = a &^ b
-		case opXnor:
-			v = ^(a ^ b)
-		case opEqAnd:
-			v = c &^ (a ^ b)
-		case opXor3:
-			v = a ^ b ^ c
-		case opMaj:
-			v = (a & b) | (c & (a ^ b))
-		case opBrw:
-			v = (^a & (b | c)) | (b & c)
 		case opSelect:
 			v = (a & c) | (b &^ c)
 		}

@@ -237,6 +237,33 @@ func TestListsUnsupported(t *testing.T) {
 	}
 }
 
+// TestListInsideModel: list operators inside a model with list-free
+// input and result compile (sym expands them into guarded unions) and
+// agree with the interpreter.
+func TestListInsideModel(t *testing.T) {
+	b := core.NewBuilder()
+	u8 := core.BV(8, false)
+	x := b.Var(u8, "x")
+	one := b.ListCons(x, b.ListNil(core.List(u8)))
+	l := b.If(b.Lt(x, b.BVConst(u8, 100)), b.ListCons(b.Add(x, x), one), one)
+	root := b.ListCase(l, b.BVConst(u8, 0), func(head, tail *core.Node) *core.Node {
+		return b.Add(head, b.ListCase(tail, b.BVConst(u8, 7), func(h2, _ *core.Node) *core.Node { return h2 }))
+	})
+	checkAgainstInterp(t, root, []*core.Node{x}, 81)
+}
+
+// TestAdaptShapeMismatchUnsupported: an Adapt whose result type has a
+// different shape from its operand cannot be read back by the codec.
+func TestAdaptShapeMismatchUnsupported(t *testing.T) {
+	b := core.NewBuilder()
+	u8 := core.BV(8, false)
+	x := b.Var(u8, "x")
+	root := b.Adapt(core.Object("Wrapped", core.Field{Name: "V", Type: u8}), x)
+	if _, err := Compile(root, x); !IsUnsupported(err) {
+		t.Fatalf("Compile = %v, want an UnsupportedError", err)
+	}
+}
+
 func TestUnboundVariable(t *testing.T) {
 	defer func() {
 		if r := recover(); r == nil {

@@ -2,8 +2,8 @@
 // interp.Value per packet) and the bitsliced world (one register per bit
 // position, one lane per packet).
 //
-// A value flattens to a bit stream in the same order the compiler lays
-// out registers: booleans contribute one bit, bitvectors their width LSB
+// A value flattens to a bit stream in the same order Compile lays out
+// registers: booleans contribute one bit, bitvectors their width LSB
 // first, objects their fields in type order. Bind scatters that stream
 // across the input registers at a single lane; Lane gathers the output
 // registers back into a value.

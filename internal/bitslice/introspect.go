@@ -55,16 +55,6 @@ func (i Inst) GoExpr(reg func(int32) string) string {
 		return fmt.Sprintf("%s ^ %s", a, b)
 	case opAndNot:
 		return fmt.Sprintf("%s &^ %s", a, b)
-	case opXnor:
-		return fmt.Sprintf("^(%s ^ %s)", a, b)
-	case opEqAnd:
-		return fmt.Sprintf("%s &^ (%s ^ %s)", c, a, b)
-	case opXor3:
-		return fmt.Sprintf("%s ^ %s ^ %s", a, b, c)
-	case opMaj:
-		return fmt.Sprintf("(%s & %s) | (%s & (%s ^ %s))", a, b, c, a, b)
-	case opBrw:
-		return fmt.Sprintf("(^%s & (%s | %s)) | (%s & %s)", a, b, c, b, c)
 	case opSelect:
 		return fmt.Sprintf("(%s & %s) | (%s &^ %s)", a, c, b, c)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"zen-go/internal/backends"
+	"zen-go/internal/bitslice"
 	"zen-go/internal/core"
 	"zen-go/internal/interp"
 	"zen-go/internal/obs"
@@ -39,6 +40,29 @@ func TestGenWellTyped(t *testing.T) {
 		if in.Op != core.OpVar {
 			t.Fatalf("seed %d: input is not a variable", seed)
 		}
+	}
+}
+
+// TestGenPredicatesReadOwnInput: predicates drawn one after another from
+// one Gen each read only their own input. Both the plan compiler, which
+// translates every branch, and the interpreter panic on a variable the
+// environment does not bind.
+func TestGenPredicatesReadOwnInput(t *testing.T) {
+	g := NewGen(1, DefaultConfig())
+	rng := deterministicRNG(1)
+	for i := 0; i < 300; i++ {
+		expr, in := g.Predicate()
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("predicate %d reads a foreign variable: %v\n%s", i, r, expr)
+				}
+			}()
+			if _, err := bitslice.Compile(expr, in); err != nil && !bitslice.IsUnsupported(err) {
+				t.Fatalf("predicate %d: compile: %v", i, err)
+			}
+			interp.Eval(expr, interp.Env{in.VarID: RandValue(rng, in.Type, 2)})
+		}()
 	}
 }
 

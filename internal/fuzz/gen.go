@@ -63,18 +63,18 @@ type Gen struct {
 // NewGen returns a generator with its own Builder, seeded deterministically.
 func NewGen(seed int64, cfg Config) *Gen {
 	return &Gen{
-		B:    core.NewBuilder(),
-		rng:  rand.New(rand.NewSource(seed)),
-		cfg:  cfg,
-		pool: make(map[string][]*core.Node),
-		seen: make(map[string]bool),
+		B:   core.NewBuilder(),
+		rng: rand.New(rand.NewSource(seed)),
+		cfg: cfg,
 	}
 }
 
 // Predicate generates a random input type, a symbolic input variable of
 // that type, and a boolean expression over it: one complete Find/Verify
-// query for the differential oracle.
+// query for the differential oracle. Each call starts from an empty node
+// pool, so the expression reads its own input and no earlier call's.
 func (g *Gen) Predicate() (expr, in *core.Node) {
+	g.pool, g.types, g.seen = make(map[string][]*core.Node), nil, make(map[string]bool)
 	t := g.genType(g.cfg.MaxTypeDepth, g.cfg.Lists)
 	in = g.B.Var(t, "in")
 	g.add(in)

@@ -94,8 +94,8 @@ func Check(expr, in *core.Node, cfg CheckConfig, rng *rand.Rand) *Divergence {
 	}
 
 	// Path 1: bitsliced batch evaluation. All 64 lanes of one transposed
-	// step must agree with the scalar interpreter; list-bearing
-	// expressions sit outside the bitslice fragment and are skipped.
+	// step must agree with the scalar interpreter; list-typed inputs sit
+	// outside the bitslice fragment and are skipped.
 	if d := checkBitslice(expr, in, concrete, cfg, rng); d != nil {
 		return d.fill(expr, in)
 	}
@@ -185,9 +185,9 @@ func (d *Divergence) fill(expr, in *core.Node) *Divergence {
 // checkBitslice runs one full transposed step of the bitsliced batch
 // evaluator — the ConcreteTrials inputs padded out to all 64 lanes with
 // fresh random values — and requires every lane to agree with the
-// scalar interpreter. Expressions outside the bitslice fragment
-// (lists) are skipped; any other compile failure or panic is a
-// divergence in its own right.
+// scalar interpreter. Expressions over a list-typed input are outside
+// the bitslice fragment and skipped; any other compile failure or panic
+// is a divergence in its own right.
 func checkBitslice(expr, in *core.Node, concrete []*interp.Value, cfg CheckConfig, rng *rand.Rand) (div *Divergence) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -199,7 +199,7 @@ func checkBitslice(expr, in *core.Node, concrete []*interp.Value, cfg CheckConfi
 		if bitslice.IsUnsupported(err) {
 			return nil
 		}
-		return &Divergence{Kind: KindBitsliceDiverge, Detail: fmt.Sprintf("compile failed on a list-free expression: %v", err)}
+		return &Divergence{Kind: KindBitsliceDiverge, Detail: fmt.Sprintf("compile failed on a list-free input: %v", err)}
 	}
 	lanes := make([]*interp.Value, 0, bitslice.Lanes)
 	lanes = append(lanes, concrete...)

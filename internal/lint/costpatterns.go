@@ -84,9 +84,10 @@ var CostPatterns = [...]CostPattern{
 			"restructure the traversal to one pass",
 		BDD: SevWarn,
 		SAT: SevWarn,
-		// Lists sit outside the bitslice fragment altogether: a model this
-		// shape loses the batch engine and falls back to the scalar
-		// interpreter per lane.
+		// The plan expands list operators through the same guarded unions
+		// as the solvers, so nesting costs it the same blowup; and a model
+		// whose inputs or results are lists loses the batch engine
+		// altogether and falls back to the scalar interpreter per lane.
 		Bitslice: SevWarn,
 	},
 }

@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"runtime"
 	"sync"
+	"weak"
 
 	"zen-go/internal/core"
 )
@@ -26,9 +28,12 @@ import (
 // Within one process the root pointer is still a perfect identity, so
 // computed fingerprints are memoized on it: repeated queries pay one
 // sync.Map hit, and the serve/query-cold sentinel does not feel the DAG
-// walk after its first iteration.
+// walk after its first iteration. The memo holds the root weakly and
+// deletes its entry once the root is collected, so it keeps no dropped
+// predicate (or the model DAG under it) alive.
 func fingerprint(root *core.Node) string {
-	if fp, ok := fpCache.Load(root); ok {
+	key := weak.Make(root)
+	if fp, ok := fpCache.Load(key); ok {
 		return fp.(string)
 	}
 	h := &fpHasher{
@@ -37,11 +42,13 @@ func fingerprint(root *core.Node) string {
 	}
 	sum := sha256.Sum256(h.hash(root))
 	fp := hex.EncodeToString(sum[:16])
-	fpCache.Store(root, fp)
+	if _, loaded := fpCache.LoadOrStore(key, fp); !loaded {
+		runtime.AddCleanup(root, func(k weak.Pointer[core.Node]) { fpCache.Delete(k) }, key)
+	}
 	return fp
 }
 
-var fpCache sync.Map // *core.Node -> string
+var fpCache sync.Map // weak.Pointer[core.Node] -> string
 
 type fpHasher struct {
 	memo map[*core.Node][]byte // per-walk subtree digests

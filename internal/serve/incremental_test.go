@@ -184,6 +184,54 @@ func TestUpdateDeltaReuse(t *testing.T) {
 	}
 }
 
+// TestDeltaPrimedHitTracesFingerprint: a cache hit on an entry that an
+// update primed traces the same "dag" attribute as a cold query for the
+// same predicate on a server that never saw the update.
+func TestDeltaPrimedHitTracesFingerprint(t *testing.T) {
+	ctx := context.Background()
+	s := newTestServer(t, Config{})
+	aclInstance(t, s, "edge3")
+	if res := s.Do(ctx, allowedOnPort("edge3", 80)); res.Status != "sat" {
+		t.Fatalf("cold: %q (%s)", res.Status, res.ErrText())
+	}
+	up := s.DoUpdate(ctx, &UpdateRequest{
+		Instance: "edge3",
+		Deltas:   []Delta{{Op: "insert", Index: 0, Rule: []byte(`{"Permit": true, "DstLow": 22, "DstHigh": 22}`)}},
+	})
+	if up.Status != "updated" {
+		t.Fatalf("update: %+v (%v)", up, up.Err)
+	}
+	req := allowedOnPort("edge3", 80)
+	req.Trace = true
+	hit := s.Do(ctx, req)
+	if hit.Provenance != ProvDelta || hit.Trace == nil {
+		t.Fatalf("post-update query: provenance %q, trace %v", hit.Provenance, hit.Trace)
+	}
+
+	// The same rules, created directly, on a fresh server.
+	cold := newTestServer(t, Config{})
+	res := cold.CreateInstance(ctx, &InstanceRequest{
+		Name:   "edge3",
+		Family: "acl",
+		Rules: []json.RawMessage{
+			[]byte(`{"Permit": true, "DstLow": 22, "DstHigh": 22}`),
+			[]byte(`{"Permit": true, "DstLow": 80, "DstHigh": 80}`),
+			[]byte(`{"Permit": true, "DstLow": 443, "DstHigh": 443}`),
+		},
+	})
+	if res.Status != "created" {
+		t.Fatalf("create: %+v", res)
+	}
+	want := cold.Do(ctx, req)
+	if want.Provenance != ProvCold || want.Trace == nil {
+		t.Fatalf("fresh server: provenance %q, trace %v", want.Provenance, want.Trace)
+	}
+	got, wantDAG := hit.Trace.Attrs["dag"], want.Trace.Attrs["dag"]
+	if wantDAG == nil || got != wantDAG {
+		t.Fatalf("delta-primed hit traces dag %v, cold query %v", got, wantDAG)
+	}
+}
+
 // TestUpdateRouteMapWitnessReuse covers the generic (list-typed) path:
 // reuse rides on the cached witness still satisfying the new model.
 func TestUpdateRouteMapWitnessReuse(t *testing.T) {

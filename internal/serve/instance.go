@@ -806,8 +806,12 @@ func (s *Server) primeCache(in *instance, m zen.Queryable, gen uint64, results [
 			model: in.name, kind: t.kind, backend: t.backend,
 			cond: cond, max: 1, bound: t.bound, gen: gen,
 		}
-		res := results[i]
-		res.fingerprint = fingerprint(cond)
-		s.cache.put(k, res)
+		// The hit path stamps a response with the query's own
+		// fingerprint, so the entry needs none; but prepare fingerprints
+		// every query before the cache lookup, and the new generation's
+		// DAG is not memoized yet. Hashing it here, during the update,
+		// keeps that walk over the whole model off the follow-up query.
+		fingerprint(cond)
+		s.cache.put(k, results[i])
 	}
 }

@@ -2,16 +2,17 @@
 // expression DAG into symbolic values over an arbitrary boolean algebra.
 //
 // The same evaluator drives every non-concrete backend in the system — the
-// BDD solver, the SAT ("SMT"/bitvector) solver, and Kleene ternary
-// simulation — which is the architectural point of the paper: one model,
-// many analyses. Composite values use type-driven merging in the style of
+// BDD solver, the SAT ("SMT"/bitvector) solver, Kleene ternary simulation,
+// and the bitslice plan builder, whose bits are machine-word registers —
+// which is the architectural point of the paper: one model, many
+// analyses. Composite values use type-driven merging in the style of
 // Rosette: objects merge field-wise, bitvectors merge bit-wise, and lists
 // are guarded unions keyed by length.
 package sym
 
 // Algebra is a boolean algebra with fresh-variable creation. B values are
-// algebra-specific: BDD node references, SAT literals, or ternary truth
-// values.
+// algebra-specific: BDD node references, SAT literals, ternary truth
+// values, or bitslice plan registers.
 type Algebra[B comparable] interface {
 	True() B
 	False() B

@@ -18,10 +18,12 @@ package zenrepro
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 
 	"zen-go/internal/core"
+	"zen-go/internal/fuzz"
 	"zen-go/internal/interp"
 	"zen-go/zen"
 
@@ -167,5 +169,70 @@ func TestRegistryVerdictParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// hasList reports whether a value of type t holds a list anywhere.
+func hasList(t *core.Type) bool {
+	if t.Kind == core.KindList {
+		return true
+	}
+	for _, f := range t.Fields {
+		if hasList(f.Type) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRegistryBatchParity: every registered model whose inputs and
+// result are list-free runs on the bitslice plan, and its 64 seeded
+// lanes agree with the interpreter.
+func TestRegistryBatchParity(t *testing.T) {
+	ctx := context.Background()
+	onPlan := 0
+	for _, m := range zen.RegisteredModels() {
+		q, ok := m.Build().(zen.Queryable)
+		if !ok {
+			continue
+		}
+		listIO := hasList(q.QueryOut().Type)
+		for _, a := range q.QueryArgs() {
+			listIO = listIO || hasList(a.Type)
+		}
+		if listIO {
+			continue
+		}
+		t.Run(m.Name, func(t *testing.T) {
+			var st zen.Stats
+			rng := rand.New(rand.NewSource(1))
+			envs := make([]zen.RawModel, zen.BatchLanes)
+			for i := range envs {
+				envs[i] = zen.RawModel{}
+				for _, a := range q.QueryArgs() {
+					envs[i][a.VarID] = fuzz.RandValue(rng, a.Type, 0)
+				}
+			}
+			got, err := zen.EvaluateBatchRaw(ctx, q, envs, zen.WithStats(&st))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fb := st.Snapshot().Bitslice.Fallbacks; fb != 0 {
+				t.Fatalf("list-free model fell back to the interpreter %d times", fb)
+			}
+			for i, env := range envs {
+				want, err := zen.EvaluateRaw(ctx, q.QueryOut(), env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got[i].Equal(want) {
+					t.Fatalf("lane %d: plan %s, interpreter %s", i, got[i], want)
+				}
+			}
+		})
+		onPlan++
+	}
+	if onPlan < 15 {
+		t.Fatalf("only %d registered models are list-free; registry imports out of sync?", onPlan)
 	}
 }

@@ -81,9 +81,10 @@ func BatchCompiles(q Queryable) bool {
 // EvaluateBatch runs the model on a slice of concrete inputs at once —
 // the simulation path for packet-rate workloads. Inputs are transposed
 // into a bitsliced representation and evaluated 64 per step by a plan of
-// machine-word bitwise instructions (see internal/bitslice); models that
-// use lists fall back transparently to the scalar interpreter. Results
-// are positional: out[i] is the model applied to inputs[i].
+// machine-word bitwise instructions (see internal/bitslice); models with
+// list-typed inputs or results fall back transparently to the scalar
+// interpreter. Results are positional: out[i] is the model applied to
+// inputs[i].
 func EvaluateBatch[I, O any](f func(Value[I]) Value[O], inputs []I, opts ...Option) []O {
 	return Func(f).Use(opts...).EvaluateBatch(inputs)
 }
@@ -139,7 +140,8 @@ func (fn *Fn[I, O]) evaluateBatch(o *Options, chk cancel.Check, inputs []I) []O 
 // bindings at once — the untyped engine behind the service layer's
 // streaming evaluate endpoint. envs[i] must bind every argument variable
 // of q; the result slice is positional. Models outside the bitslice
-// fragment (lists) fall back to the scalar interpreter per binding.
+// fragment (list-typed inputs or results) fall back to the scalar
+// interpreter per binding.
 func EvaluateBatchRaw(ctx context.Context, q Queryable, envs []RawModel, opts ...Option) (vs []*interp.Value, err error) {
 	defer cancel.Trap(&err)
 	o := buildOptions(opts)
@@ -169,11 +171,11 @@ func EvaluateBatchRaw(ctx context.Context, q Queryable, envs []RawModel, opts ..
 
 // runBatch evaluates root, a model's result over args, on n inputs: 64
 // per step through the model's bitslice plan, or one at a time in the
-// interpreter when the model is outside the plan fragment (lists). Input
-// i reaches the plan through bind (one lane) or the interpreter through
-// env; its result goes to set. Cancellation is polled between steps. The
-// plan, fallback, batch and packet telemetry goes to rec. A bind error
-// stops the run and is returned.
+// interpreter when the model is outside the plan fragment (list-typed
+// inputs or results). Input i reaches the plan through bind (one lane)
+// or the interpreter through env; its result goes to set. Cancellation
+// is polled between steps. The plan, fallback, batch and packet
+// telemetry goes to rec. A bind error stops the run and is returned.
 func runBatch(rec *obs.Rec, chk cancel.Check, root *core.Node, args []*core.Node, n int,
 	env func(i int) interp.Env,
 	bind func(p *bitslice.Plan, regs []uint64, lane, i int) error,

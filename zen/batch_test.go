@@ -162,3 +162,50 @@ func TestEvaluateBatchInputIndependentModels(t *testing.T) {
 		}
 	}
 }
+
+// listInternalModel has list-free input and output but builds a list
+// whose shape depends on the input and cases on it: the plan expands the
+// list operators through sym's guarded unions, as the solvers do.
+func listInternalModel(h zen.Value[Header]) zen.Value[uint8] {
+	sport := zen.GetField[Header, uint16](h, "SrcPort")
+	dport := zen.GetField[Header, uint16](h, "DstPort")
+	proto := zen.GetField[Header, uint8](h, "Protocol")
+	one := zen.Cons(dport, zen.NilList[uint16]())
+	ports := zen.If(zen.EqC(proto, uint8(6)), zen.Cons(sport, one), one)
+	ssh := zen.AnyMatch(ports, 3, func(p zen.Value[uint16]) zen.Value[bool] { return zen.EqC(p, uint16(22)) })
+	return zen.If(ssh, zen.AddC(zen.Length(ports, 3), 10), zen.Length(ports, 3))
+}
+
+// TestEvaluateBatchListInternalModel: a model that uses lists only
+// inside compiles to a plan and agrees with the interpreter lane for
+// lane, in the batch and through Compile.
+func TestEvaluateBatchListInternalModel(t *testing.T) {
+	var st zen.Stats
+	fn := zen.Func(listInternalModel).Use(zen.WithStats(&st))
+	if !zen.BatchCompiles(fn) {
+		t.Fatal("list-internal model does not compile to a plan")
+	}
+	inputs := randHeaders(5, 200)
+	for i := range inputs {
+		if i%3 == 0 {
+			inputs[i].Protocol = 6
+		}
+		if i%4 == 0 {
+			inputs[i].SrcPort = 22
+		}
+	}
+	got := fn.EvaluateBatch(inputs)
+	compiled := fn.Compile()
+	for i, h := range inputs {
+		want := fn.Evaluate(h)
+		if got[i] != want {
+			t.Fatalf("input %d: batch %d, interp %d", i, got[i], want)
+		}
+		if c := compiled(h); c != want {
+			t.Fatalf("input %d: compiled %d, interp %d", i, c, want)
+		}
+	}
+	if snap := st.Snapshot(); snap.Bitslice.Fallbacks != 0 {
+		t.Errorf("fallbacks = %d, want 0", snap.Bitslice.Fallbacks)
+	}
+}

@@ -87,8 +87,9 @@ func generateWith[I any, B comparable](mk func() sym.Solver[B], paths []testgen.
 // compileEval returns an evaluator of root over args, given their values
 // in args order: one lane of the model's cached bitslice plan (the plan
 // EvaluateBatch, the /v1/evaluate stream and Codegen run), or the
-// interpreter for models outside the plan fragment (lists). It is safe
-// for concurrent use; each call takes its own registers or environment.
+// interpreter for models outside the plan fragment (list-typed inputs or
+// results). It is safe for concurrent use; each call takes its own
+// registers or environment.
 // Compilation is recorded as a "compile" analysis under o, with the
 // plan counters if this call compiled the plan.
 func compileEval(o Options, root *coreNode, args ...*coreNode) func(vals ...*interp.Value) *interp.Value {
@@ -122,11 +123,12 @@ func compileEval(o Options, root *coreNode, args ...*coreNode) func(vals ...*int
 
 // Compile extracts an executable Go implementation from the model (§8):
 // the returned function runs the model's bitslice plan on one lane — the
-// plan EvaluateBatch runs 64 lanes at a time — or, for models that use
-// lists, the interpreter. It evaluates without symbolic machinery, is
-// by construction in sync with the verified model, and is safe for
-// concurrent use. Compilation (not the returned function) is
-// instrumented under the function's attached options (see Use).
+// plan EvaluateBatch runs 64 lanes at a time — or, for models whose
+// inputs or result are lists, the interpreter. It evaluates without
+// symbolic machinery, is by construction in sync with the verified
+// model, and is safe for concurrent use. Compilation (not the returned
+// function) is instrumented under the function's attached options (see
+// Use).
 func (fn *Fn[I, O]) Compile() func(I) O {
 	eval := compileEval(fn.options(nil), fn.out.n, fn.arg.n)
 	rt := reflect.TypeOf((*O)(nil)).Elem()
