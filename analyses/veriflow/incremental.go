@@ -9,8 +9,10 @@ import "zen-go/zen"
 // verdict still stands; inside it, nothing does.
 //
 // The kernel is generic so it serves any model family: forwarding
-// tables (Monitor below), ACLs (the zend /v1/update delta path), or
-// anything else expressible as a Zen function over a list-free input.
+// tables (Monitor below) or anything else expressible as a Zen function
+// over a list-free input. It builds both functions' DAGs; a caller that
+// keeps the previous generation's set (zend's /v1/update ACL path does)
+// can take the symmetric difference with the new set instead.
 func Changed[T, V any](w *zen.World, oldFn, newFn func(zen.Value[T]) zen.Value[V]) zen.StateSet[T] {
 	return zen.SetOf(w, func(h zen.Value[T]) zen.Value[bool] {
 		return zen.Ne(oldFn(h), newFn(h))

@@ -216,6 +216,60 @@ func (m *Manager) Iff(a, b Ref) Ref { return m.Ite(a, b, m.Not(b)) }
 // Implies returns the implication a -> b.
 func (m *Manager) Implies(a, b Ref) Ref { return m.Ite(a, b, True) }
 
+// Leq reports whether a implies b (a ≤ b). It decides Implies(a, b) ==
+// True by walking the two diagrams in step: it makes no node and no
+// op-cache entry, so a long-lived manager answering many containment
+// questions does not grow. The memo is per call; it holds only pairs
+// already shown to imply, since the first failing pair ends the walk.
+func (m *Manager) Leq(a, b Ref) bool {
+	return m.walkPairs(a, b, make(map[[2]Ref]struct{}), func(a, b Ref) (bool, bool) {
+		switch {
+		case a == False || b == True || a == b:
+			return true, true
+		case a == True || b == False:
+			// Reduced diagrams: a nonterminal is neither constant.
+			return false, true
+		}
+		return false, false
+	})
+}
+
+// Disjoint reports whether a and b have no common satisfying assignment,
+// And(a, b) == False, with Leq's guarantees: no node, no cache entry.
+func (m *Manager) Disjoint(a, b Ref) bool {
+	return m.walkPairs(a, b, make(map[[2]Ref]struct{}), func(a, b Ref) (bool, bool) {
+		switch {
+		case a == False || b == False:
+			return true, true
+		case a == True || b == True || a == b:
+			return false, true
+		}
+		return false, false
+	})
+}
+
+// walkPairs decides a relation that holds of (a, b) exactly when it holds
+// of both cofactor pairs at their top level. leaf answers the pairs it
+// can decide directly (decided true); seen holds the pairs already shown
+// to hold.
+func (m *Manager) walkPairs(a, b Ref, seen map[[2]Ref]struct{}, leaf func(a, b Ref) (holds, decided bool)) bool {
+	if holds, decided := leaf(a, b); decided {
+		return holds
+	}
+	k := [2]Ref{a, b}
+	if _, ok := seen[k]; ok {
+		return true
+	}
+	top := min(m.level[a], m.level[b])
+	a0, a1 := m.cofactor(a, top)
+	b0, b1 := m.cofactor(b, top)
+	if !m.walkPairs(a0, b0, seen, leaf) || !m.walkPairs(a1, b1, seen, leaf) {
+		return false
+	}
+	seen[k] = struct{}{}
+	return true
+}
+
 // Ite returns if-then-else(f, g, h).
 func (m *Manager) Ite(f, g, h Ref) Ref {
 	// Terminal cases.

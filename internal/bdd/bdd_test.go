@@ -447,3 +447,57 @@ func TestSubstitutePermutation(t *testing.T) {
 		}
 	}
 }
+
+// TestLeqDisjointMatchIte: Leq and Disjoint agree with the node-building
+// Implies(a, b) == True and And(a, b) == False on every pair of a pool
+// of random BDDs (over 20k pairs, two of them constants), and build
+// nothing themselves.
+func TestLeqDisjointMatchIte(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const nVars, poolSize = 7, 160
+	m := New(nVars)
+	pool := append(make([]Ref, 0, poolSize), False, True)
+	for len(pool) < poolSize {
+		r, _ := buildRandom(m, rng, nVars, 6)
+		// Conjoin or disjoin with an earlier entry now and then, so
+		// implied and disjoint pairs are common, not just the constants.
+		if len(pool) > 0 && rng.Intn(3) == 0 {
+			o := pool[rng.Intn(len(pool))]
+			if rng.Intn(2) == 0 {
+				r = m.And(r, o)
+			} else {
+				r = m.And(r, m.Not(o))
+			}
+		}
+		if !m.IsTerminal(r) {
+			pool = append(pool, r)
+		}
+	}
+	var leq, disjoint, pairs int
+	for _, a := range pool {
+		for _, b := range pool {
+			before := m.Stats()
+			gotLeq, gotDisjoint := m.Leq(a, b), m.Disjoint(a, b)
+			if after := m.Stats(); after != before {
+				t.Fatalf("Leq/Disjoint changed the manager: %+v -> %+v", before, after)
+			}
+			if want := m.Implies(a, b) == True; gotLeq != want {
+				t.Fatalf("Leq(%d, %d) = %v, Implies says %v", a, b, gotLeq, want)
+			}
+			if want := m.And(a, b) == False; gotDisjoint != want {
+				t.Fatalf("Disjoint(%d, %d) = %v, And says %v", a, b, gotDisjoint, want)
+			}
+			pairs++
+			if gotLeq {
+				leq++
+			}
+			if gotDisjoint {
+				disjoint++
+			}
+		}
+	}
+	if pairs < 20000 || leq < pairs/50 || disjoint < pairs/50 {
+		t.Fatalf("weak pool: %d pairs, %d implied, %d disjoint", pairs, leq, disjoint)
+	}
+	t.Logf("%d pairs, %d implied, %d disjoint", pairs, leq, disjoint)
+}

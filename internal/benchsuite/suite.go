@@ -83,6 +83,10 @@ func Cases() []Case {
 		// pool, per-item encode — for the same 256 packets.
 		{Name: "evaluate/bitslice-vs-scalar", Make: bitsliceCase},
 		{Name: "serve/evaluate-stream", Make: serveStreamCase},
+		// The churn case at zend-mix's scale, appended after the
+		// originals (order is part of the pin; see above): a 200-rule
+		// figgen ACL with 128 tracked queries, one permit flip per op.
+		{Name: "serve/update-churn/200", Make: serveChurn200Case},
 	}
 }
 
@@ -484,18 +488,95 @@ func serveChurnCase() (*Instance, error) {
 					res.Reused, res.Reverified, nQueries))
 			}
 		},
-		Metrics: func(n int) map[string]float64 {
-			st := s.Stats()
-			return map[string]float64{
-				"delta-reused/op":     float64(st.DeltaReused) / float64(n),
-				"delta-reverified/op": float64(st.DeltaReverified) / float64(n),
-				// Solver invocations across every update: the acl set path
-				// re-verifies without solving, so this stays at zero.
-				"solver-solves/op": float64(zen.GlobalStats().Snapshot().Solves-baseSolves) / float64(n),
-				"cold-resolve-ns":  coldNS,
+		Metrics: churnMetrics(s, baseSolves, coldNS),
+		Close:   func() { s.Shutdown(context.Background()) },
+	}, nil
+}
+
+// churnMetrics reports an update-churn case's per-op delta counters.
+func churnMetrics(s *serve.Server, baseSolves int64, coldNS float64) func(n int) map[string]float64 {
+	return func(n int) map[string]float64 {
+		st := s.Stats()
+		return map[string]float64{
+			"delta-reused/op":     float64(st.DeltaReused) / float64(n),
+			"delta-reverified/op": float64(st.DeltaReverified) / float64(n),
+			// Solver invocations across every update: the acl set path
+			// re-verifies without solving, so this stays at zero.
+			"solver-solves/op": float64(zen.GlobalStats().Snapshot().Solves-baseSolves) / float64(n),
+			"cold-resolve-ns":  coldNS,
+		}
+	}
+}
+
+// serveChurn200Case is serve/update-churn at zend-mix's scale: the same
+// 200-rule figgen ACL (seed 200), the instance's full 128 tracked
+// queries, and one op flips the permit bit of rules 3, 11, 19 and 27 in
+// turn. The queries are zend-mix's ACL shape: a destination-address
+// slice near some rule's prefix, sometimes narrowed to a protocol, with
+// the verdict pinned; half are verifies. Queries the subsumption index
+// answers are not tracked, so set-up draws until 128 are.
+func serveChurn200Case() (*Instance, error) {
+	s := serve.New(serve.Config{Workers: 1, Queue: 1 << 16})
+	ctx := context.Background()
+	const nRules, nTracked = 200, 128
+	rules := figgen.ACL(rand.New(rand.NewSource(nRules)), nRules).Rules
+	raws := make([]json.RawMessage, len(rules))
+	for i, r := range rules {
+		raws[i], _ = json.Marshal(r)
+	}
+	if res := s.CreateInstance(ctx, &serve.InstanceRequest{
+		Name: "bench/acl", Family: "acl", Rules: raws,
+	}); res.Status != "created" {
+		return nil, fmt.Errorf("create instance: %q", res.Status)
+	}
+	rng := rand.New(rand.NewSource(1))
+	start := time.Now()
+	for tracked, i := 0, 0; tracked < nTracked; i++ {
+		if i == 4*nTracked {
+			return nil, fmt.Errorf("only %d of %d queries tracked after %d", tracked, nTracked, i)
+		}
+		r := rules[rng.Intn(len(rules))]
+		span := uint32(1) << (8 + rng.Intn(17))
+		lo := (r.DstPfx.Address | rng.Uint32()&^r.DstPfx.Mask()) &^ (span - 1)
+		slice := fmt.Sprintf(`{"cmp":{"lhs":{"ref":"in.DstIP"},"op":"ge","rhs":{"lit":%d}}},{"cmp":{"lhs":{"ref":"in.DstIP"},"op":"le","rhs":{"lit":%d}}}`, lo, lo+span-1)
+		if rng.Intn(2) == 0 {
+			slice += fmt.Sprintf(`,{"cmp":{"lhs":{"ref":"in.Protocol"},"op":"eq","rhs":{"lit":%d}}}`, []int{1, 6, 17}[rng.Intn(3)])
+		}
+		out := fmt.Sprintf(`{"cmp":{"lhs":{"ref":"out"},"op":"eq","rhs":{"lit":%v}}}`, rng.Intn(2) == 0)
+		req := &serve.Request{Model: "bench/acl", Kind: "find", Predicate: json.RawMessage(`{"all":[` + out + `,` + slice + `]}`)}
+		if i%2 == 1 {
+			req.Kind = "verify"
+			req.Predicate = json.RawMessage(`{"any":[{"not":{"all":[` + slice + `]}},` + out + `]}`)
+		}
+		if res := s.Do(ctx, req); res.Err != nil {
+			return nil, fmt.Errorf("track query %d: %q (%s)", i, res.Status, res.ErrText())
+		}
+		tracked = s.Instances()[0]["tracked"].(int)
+	}
+	coldNS := float64(time.Since(start).Nanoseconds())
+	baseSolves := zen.GlobalStats().Snapshot().Solves
+	toggle := []int{3, 11, 19, 27}
+	flips := 0
+	return &Instance{
+		Iter: func() {
+			idx := toggle[flips%len(toggle)]
+			flips++
+			rules[idx].Permit = !rules[idx].Permit
+			rule, _ := json.Marshal(rules[idx])
+			res := s.DoUpdate(ctx, &serve.UpdateRequest{
+				Instance: "bench/acl",
+				Deltas:   []serve.Delta{{Op: "modify", Index: idx, Rule: rule}},
+			})
+			if res.Status != "updated" {
+				panic(fmt.Sprintf("update: %q", res.Status))
+			}
+			if res.Reused+res.Reverified != nTracked {
+				panic(fmt.Sprintf("update touched %d+%d of %d tracked queries",
+					res.Reused, res.Reverified, nTracked))
 			}
 		},
-		Close: func() { s.Shutdown(context.Background()) },
+		Metrics: churnMetrics(s, baseSolves, coldNS),
+		Close:   func() { s.Shutdown(context.Background()) },
 	}, nil
 }
 

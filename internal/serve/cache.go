@@ -133,8 +133,8 @@ func (c *lruCache) entries() []*lruEntry {
 // any Q with Q ⇒ P unsat, and a cached witness for P satisfies any Q
 // with P ⇒ Q. Both implications are decided on a BDD — each (model,
 // bound, generation) triple keeps a small private manager where every
-// distinct predicate compiles once, and an implication test is a single
-// hash-consed Ite on that DAG.
+// distinct predicate compiles once, and an implication test is one
+// joint walk of two BDDs that builds no node (bdd.Manager.Leq).
 //
 // The index deliberately outlives LRU eviction: result entries are tiny
 // (a ref plus a witness map), so a predicate squeezed out of the LRU by
@@ -261,14 +261,17 @@ func (st *subsumeStore) lookup(key subWorldKey, args []*core.Node, cond *core.No
 	if err != nil {
 		return nil, false
 	}
+	// Leq builds no nodes: a world lives as long as its generation (a
+	// registry model's, as long as the process), and anything a check
+	// built would stay in its node store.
 	man := w.alg.Man
 	for _, e := range w.unsat {
-		if man.Implies(q, e.ref) == bdd.True {
+		if man.Leq(q, e.ref) {
 			return subsumedResponse(kind, false, nil, e.solves), true
 		}
 	}
 	for _, e := range w.sat {
-		if man.Implies(e.ref, q) == bdd.True {
+		if man.Leq(e.ref, q) {
 			return subsumedResponse(kind, true, e.model, e.solves), true
 		}
 	}

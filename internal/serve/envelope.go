@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"zen-go/internal/core"
 	"zen-go/internal/obs"
 )
 
@@ -121,11 +122,12 @@ type Response struct {
 
 	httpStatus int
 
-	// fingerprint identifies the hash-consed predicate DAG ("" for
-	// evaluate); stats holds the executing solver's telemetry. Both feed
-	// the slow-query log; cached answers repeat the original's stats.
-	fingerprint string
-	stats       *obs.Snapshot
+	// cond is the query's predicate DAG (nil for evaluate), whose
+	// fingerprint the trace and the slow-query log compute when they
+	// write one; stats holds the executing solver's telemetry. Cached
+	// answers repeat the original's stats.
+	cond  *core.Node
+	stats *obs.Snapshot
 }
 
 // HTTPStatus returns the HTTP status code the response is served with.

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"weak"
 
 	"zen-go/internal/core"
@@ -25,13 +26,16 @@ import (
 //   - Pointers obviously differ; the hash covers structure only (op,
 //     type, constants, field indices, list bounds, children).
 //
-// Within one process the root pointer is still a perfect identity, so
-// computed fingerprints are memoized on it: repeated queries pay one
-// sync.Map hit, and the serve/query-cold sentinel does not feel the DAG
-// walk after its first iteration. The memo holds the root weakly and
+// The walk covers the model DAG under the predicate, so only the readers
+// of a fingerprint pay for it: the trace "dag" attribute, the slow-query
+// log, and the snapshot lookup and write. The query and update paths
+// never call it. Within one process the root pointer is still a perfect
+// identity, so computed fingerprints are memoized on it: a repeated
+// reader pays one sync.Map hit. The memo holds the root weakly and
 // deletes its entry once the root is collected, so it keeps no dropped
 // predicate (or the model DAG under it) alive.
 func fingerprint(root *core.Node) string {
+	fingerprintCalls.Add(1)
 	key := weak.Make(root)
 	if fp, ok := fpCache.Load(key); ok {
 		return fp.(string)
@@ -49,6 +53,10 @@ func fingerprint(root *core.Node) string {
 }
 
 var fpCache sync.Map // weak.Pointer[core.Node] -> string
+
+// fingerprintCalls counts fingerprint calls, so tests can pin the paths
+// that never pay for one.
+var fingerprintCalls atomic.Int64
 
 type fpHasher struct {
 	memo map[*core.Node][]byte // per-walk subtree digests

@@ -6,12 +6,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"zen-go/internal/figgen"
+	"zen-go/nets/acl"
+	"zen-go/nets/pkt"
+	"zen-go/zen"
 )
 
 // aclInstance creates a small permit-web ACL instance: dst port 80 and
@@ -606,4 +613,207 @@ func TestLintEndpoint(t *testing.T) {
 	if suppressed == 0 {
 		t.Fatalf("expected suppressed findings across the registry, got %d findings, 0 suppressed", len(lr3.Findings))
 	}
+}
+
+// TestUntracedPathsSkipFingerprint: with no trace, slow log or snapshot
+// directory, no query path (cold, cached, subsumed, delta-primed) and no
+// update computes the structural fingerprint, whose walk covers the
+// whole model DAG.
+func TestUntracedPathsSkipFingerprint(t *testing.T) {
+	ctx := context.Background()
+	s := newTestServer(t, Config{})
+	aclInstance(t, s, "edge4")
+	before := fingerprintCalls.Load()
+	for _, req := range []*Request{
+		allowedOnPort("edge4", 80), allowedOnPort("edge4", 80), deniedOnPort("edge4", 22),
+		findEq("demo/add8", 9), findEq("demo/add8", 9),
+		reqOf("find", `{"all":[{"cmp":{"lhs":{"ref":"out"},"op":"eq","rhs":{"lit":9}}},{"cmp":{"lhs":{"ref":"in"},"op":"eq","rhs":{"lit":8}}}]}`),
+	} {
+		if res := s.Do(ctx, req); res.Err != nil {
+			t.Fatalf("%s %s: %s", req.Model, req.Predicate, res.ErrText())
+		}
+	}
+	up := s.DoUpdate(ctx, &UpdateRequest{
+		Instance: "edge4",
+		Deltas:   []Delta{{Op: "insert", Index: 0, Rule: []byte(`{"Permit": true, "DstLow": 22, "DstHigh": 22}`)}},
+	})
+	if up.Status != "updated" {
+		t.Fatalf("update: %+v (%v)", up, up.Err)
+	}
+	if res := s.Do(ctx, allowedOnPort("edge4", 80)); res.Provenance != ProvDelta {
+		t.Fatalf("post-update query: provenance %q", res.Provenance)
+	}
+	if st := s.Stats(); st.CacheHits < 2 || st.Subsumed < 1 {
+		t.Fatalf("test premise broken: stats %+v", st)
+	}
+	if n := fingerprintCalls.Load() - before; n != 0 {
+		t.Fatalf("untraced queries and update computed %d fingerprints, want 0", n)
+	}
+	// A traced query is a reader, and pays for one.
+	req := allowedOnPort("edge4", 80)
+	req.Trace = true
+	if res := s.Do(ctx, req); res.Trace == nil || res.Trace.Attrs["dag"] == nil {
+		t.Fatalf("traced query: no dag attribute")
+	}
+	if n := fingerprintCalls.Load() - before; n != 1 {
+		t.Fatalf("traced query computed %d fingerprints, want 1", n)
+	}
+}
+
+// TestACLDeltaDifferential: seeded insert/modify/delete deltas on a
+// figgen ACL instance with tracked find and verify queries. After every
+// update the carried permit set equals the permit set of a freshly
+// built ACL, a query is reused exactly when its footprint misses the
+// headers whose decision changed, and every tracked verdict agrees with
+// a cold solve on the new model, its witness satisfying the new model's
+// predicate.
+func TestACLDeltaDifferential(t *testing.T) {
+	ctx := context.Background()
+	s := newTestServer(t, Config{})
+	rng := rand.New(rand.NewSource(19))
+	rules := figgen.ACL(rand.New(rand.NewSource(40)), 40).Rules
+	spare := figgen.ACL(rand.New(rand.NewSource(41)), 40).Rules // rules to insert
+	ruleJSON := func(r acl.Rule) json.RawMessage {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	raws := make([]json.RawMessage, len(rules))
+	for i, r := range rules {
+		raws[i] = ruleJSON(r)
+	}
+	if res := s.CreateInstance(ctx, &InstanceRequest{Name: "diff", Family: "acl", Rules: raws}); res.Status != "created" {
+		t.Fatalf("create: %+v", res)
+	}
+
+	// Queries slice the header space near a rule's destination prefix
+	// and pin the verdict, as zend-mix's ACL queries do; every fourth
+	// slices by protocol alone, so most deltas touch it.
+	kinds := map[string]string{} // compact predicate -> kind
+	for i := 0; i < 16; i++ {
+		r := rules[rng.Intn(len(rules))]
+		span := uint32(1) << (12 + rng.Intn(18))
+		lo := (r.DstPfx.Address | rng.Uint32()&^r.DstPfx.Mask()) &^ (span - 1)
+		slice := fmt.Sprintf(`{"all":[{"cmp":{"lhs":{"ref":"in.DstIP"},"op":"ge","rhs":{"lit":%d}}},{"cmp":{"lhs":{"ref":"in.DstIP"},"op":"le","rhs":{"lit":%d}}}]}`, lo, lo+span-1)
+		if i%4 == 3 {
+			slice = fmt.Sprintf(`{"cmp":{"lhs":{"ref":"in.Protocol"},"op":"eq","rhs":{"lit":%d}}}`, []int{1, 6, 17}[rng.Intn(3)])
+		}
+		out := fmt.Sprintf(`{"cmp":{"lhs":{"ref":"out"},"op":"eq","rhs":{"lit":%v}}}`, rng.Intn(2) == 0)
+		req := &Request{Model: "diff", Kind: "find", Predicate: json.RawMessage(`{"all":[` + out + `,` + slice + `]}`)}
+		if i%2 == 1 {
+			req.Kind = "verify"
+			req.Predicate = json.RawMessage(`{"any":[{"not":` + slice + `},` + out + `]}`)
+		}
+		if res := s.Do(ctx, req); res.Err != nil {
+			t.Fatalf("query %d: %s", i, res.ErrText())
+		}
+		kinds[string(req.Predicate)] = req.Kind
+	}
+
+	// A query the subsumption index answers is not tracked; most are.
+	in := s.instance("diff")
+	in.mu.RLock()
+	nTracked, tracked := len(in.tracked), map[string]bool{}
+	for _, tq := range in.tracked {
+		tracked[tq.kind.String()] = true
+	}
+	in.mu.RUnlock()
+	if nTracked < 8 || !tracked["find"] || !tracked["verify"] {
+		t.Fatalf("test premise broken: %d tracked queries, kinds %v", nTracked, tracked)
+	}
+	freshAllow := func() zen.StateSet[pkt.Header] {
+		return zen.SetOf(in.w, (&acl.ACL{Rules: rules}).Allow)
+	}
+	prev := freshAllow()
+	verdicts := map[string][2]string{"find": {"unsat", "sat"}, "verify": {"valid", "invalid"}}
+	var reused, reverified int
+	for step := 0; step < 32; step++ {
+		var d Delta
+		switch op := rng.Intn(3); {
+		case op == 0 || len(rules) < 4:
+			r := spare[rng.Intn(len(spare))]
+			d = Delta{Op: "insert", Index: rng.Intn(len(rules) + 1), Rule: ruleJSON(r)}
+			rules = slices.Insert(rules, d.Index, r)
+		case op == 1:
+			d = Delta{Op: "delete", Index: rng.Intn(len(rules))}
+			rules = slices.Delete(rules, d.Index, d.Index+1)
+		default:
+			d = Delta{Op: "modify", Index: rng.Intn(len(rules))}
+			r := rules[d.Index]
+			r.Permit = !r.Permit
+			if rng.Intn(2) == 0 {
+				r = spare[rng.Intn(len(spare))]
+			}
+			d.Rule = ruleJSON(r)
+			rules[d.Index] = r
+		}
+		up := s.DoUpdate(ctx, &UpdateRequest{Instance: "diff", Deltas: []Delta{d}})
+		if up.Status != "updated" || up.Rules != len(rules) {
+			t.Fatalf("step %d %s@%d: %+v (%v)", step, d.Op, d.Index, up, up.Err)
+		}
+		reused += up.Reused
+		reverified += up.Reverified
+
+		model := buildACLModel(rules)
+		in.mu.RLock()
+		carried, fresh := in.allow, freshAllow()
+		changed := symDiff(prev, fresh)
+		if carried == nil || !carried.Equal(fresh) {
+			t.Fatalf("step %d %s@%d: carried permit set differs from a fresh build", step, d.Op, d.Index)
+		}
+		if len(up.Queries) != nTracked {
+			t.Fatalf("step %d: %d tracked answers, want %d", step, len(up.Queries), nTracked)
+		}
+		for i, tq := range in.tracked {
+			if want := tq.rel.Intersect(changed).IsEmpty(); up.Queries[i].Reused != want {
+				t.Fatalf("step %d %s@%d: %s reused = %v, its footprint misses the change: %v",
+					step, d.Op, d.Index, tq.raw, up.Queries[i].Reused, want)
+			}
+		}
+		in.mu.RUnlock()
+		prev = fresh
+		args := model.QueryArgs()
+		for _, q := range up.Queries {
+			kind, ok := kinds[string(q.Predicate)]
+			if !ok {
+				t.Fatalf("step %d: answer for unknown predicate %s", step, q.Predicate)
+			}
+			cond, err := compilePredicate(q.Predicate, &resolver{args: args, out: model.QueryOut()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kind == "verify" {
+				cond = zen.Builder().Not(cond)
+			}
+			_, found, err := zen.FindRaw(ctx, cond, args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := verdicts[kind][0]
+			if found {
+				want = verdicts[kind][1]
+			}
+			if q.Status != want {
+				t.Fatalf("step %d %s@%d: %s %s answered %q (reused %v), cold solve says %q",
+					step, d.Op, d.Index, kind, q.Predicate, q.Status, q.Reused, want)
+			}
+			if !found {
+				continue
+			}
+			env := witnessEnv(args, q.Model)
+			if env == nil {
+				t.Fatalf("step %d: %s %s: %q with no usable witness %v", step, kind, q.Predicate, q.Status, q.Model)
+			}
+			if v, err := zen.EvaluateRaw(ctx, cond, env); err != nil || !v.B {
+				t.Fatalf("step %d: %s %s: witness %v does not satisfy the new model (reused %v)",
+					step, kind, q.Predicate, q.Model, q.Reused)
+			}
+		}
+	}
+	if reused == 0 || reverified == 0 {
+		t.Fatalf("reused %d, re-verified %d: both paths must be exercised", reused, reverified)
+	}
+	t.Logf("%d reused, %d re-verified over 32 updates", reused, reverified)
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"zen-go/analyses/ap"
-	"zen-go/analyses/veriflow"
 	"zen-go/internal/core"
 	"zen-go/internal/obs"
 	"zen-go/nets/acl"
@@ -33,14 +32,16 @@ import (
 // Two families exist:
 //
 //   - "acl" (rules are nets/acl.Rule): the input (pkt.Header) is
-//     list-free, so the exact-set path applies. The change set is
-//     computed with the veriflow kernel (the symmetric difference of
-//     the old and new Allow functions, as a state set), each query's
-//     rule-independent footprint rel(Q) = {h : Q(h,true) ≠ Q(h,false)}
-//     is intersected against it, and dirty re-verification runs on
-//     state sets — zero solver invocations either way. Affected
-//     equivalence classes are counted with analyses/ap atoms over the
-//     delta-touched rules' match sets.
+//     list-free, so the exact-set path applies. The instance carries
+//     its permit set from one generation to the next, so an update
+//     builds one model DAG and evaluates one set: the new permit set.
+//     The change set is the symmetric difference of the carried set and
+//     the new one; each query's rule-independent footprint
+//     rel(Q) = {h : Q(h,true) ≠ Q(h,false)} is tested for disjointness
+//     against it, and dirty re-verification runs on the new permit set
+//     — zero solver invocations either way. Affected equivalence
+//     classes are counted with analyses/ap atoms over the delta-touched
+//     rules' match sets; they only fill the report.
 //
 //   - "routemap" (rules are nets/routemap.Clause): routes carry lists,
 //     which state sets cannot represent, so the generic path applies:
@@ -149,9 +150,10 @@ type instance struct {
 	mu      sync.RWMutex
 	gen     uint64
 	model   zen.Queryable
-	aclRule []acl.Rule        // "acl" family rule list
-	rmRule  []routemap.Clause // "routemap" family rule list
-	w       *zen.World        // state-set world ("acl" family)
+	aclRule []acl.Rule                // "acl" family rule list
+	rmRule  []routemap.Clause         // "routemap" family rule list
+	w       *zen.World                // state-set world ("acl" family)
+	allow   *zen.StateSet[pkt.Header] // permit set of aclRule; nil until the first update
 	tracked []*tracked
 }
 
@@ -240,7 +242,7 @@ func checkPrefix(field string, p pkt.Prefix) error {
 	return nil
 }
 
-func buildACLModel(rules []acl.Rule) zen.Queryable {
+func buildACLModel(rules []acl.Rule) *zen.Fn[pkt.Header, bool] {
 	a := &acl.ACL{Rules: append([]acl.Rule(nil), rules...)}
 	return zen.Func(func(h zen.Value[pkt.Header]) zen.Value[bool] {
 		return a.Allow(h)
@@ -421,8 +423,13 @@ func (in *instance) compileFootprint(t *tracked) bool {
 	if t.qFalse, ok = compile(false); !ok {
 		return false
 	}
-	t.rel = t.qTrue.Minus(t.qFalse).Union(t.qFalse.Minus(t.qTrue))
+	t.rel = symDiff(t.qTrue, t.qFalse)
 	return true
+}
+
+// symDiff returns (a ∖ b) ∪ (b ∖ a).
+func symDiff(a, b zen.StateSet[pkt.Header]) zen.StateSet[pkt.Header] {
+	return a.Minus(b).Union(b.Minus(a))
 }
 
 // witnessEnv rebuilds the raw solver model from its encoded form, nil
@@ -570,10 +577,12 @@ func (s *Server) updateACL(in *instance, deltas []Delta) (*UpdateResponse, error
 	if err != nil {
 		return nil, err
 	}
-	oldACL := &acl.ACL{Rules: in.aclRule}
-	newACL := &acl.ACL{Rules: newRules}
+	newModel := buildACLModel(newRules)
 	// The exact change set: headers whose permit/deny decision differs.
-	changed := veriflow.Changed(in.w, oldACL.Allow, newACL.Allow)
+	// The old permit set is carried from the previous update, so only
+	// the new one is evaluated, from the DAG the new model just built.
+	allow := zen.SolutionSet(in.w, newModel)
+	changed := symDiff(in.permits(), allow)
 
 	// Dirty equivalence classes: atoms of the delta-touched rules'
 	// match sets, counted against the change set.
@@ -590,7 +599,6 @@ func (s *Server) updateACL(in *instance, deltas []Delta) (*UpdateResponse, error
 		dirty, total = len(atoms.Touching(changed)), atoms.NumAtoms()
 	}
 
-	newModel := buildACLModel(newRules)
 	newGen := in.gen + 1
 	res := &UpdateResponse{
 		Status:       "updated",
@@ -602,19 +610,9 @@ func (s *Server) updateACL(in *instance, deltas []Delta) (*UpdateResponse, error
 		TotalClasses: total,
 	}
 
-	// The new permit set, computed once and shared by every re-verified
-	// query (lazily: a delta touching no tracked footprint never pays).
-	var allow zen.StateSet[pkt.Header]
-	var haveAllow bool
 	for _, t := range in.tracked {
-		reused := t.setOK && t.rel.Intersect(changed).IsEmpty()
+		reused := t.setOK && t.rel.Disjoint(changed)
 		if !reused && t.setOK {
-			if !haveAllow {
-				allow = zen.SetOf(in.w, func(h zen.Value[pkt.Header]) zen.Value[bool] {
-					return newACL.Allow(h)
-				})
-				haveAllow = true
-			}
 			// Satisfying inputs of Q under the new rules:
 			// (allow ∩ Q[out:=true]) ∪ (allowᶜ ∩ Q[out:=false]).
 			sat := allow.Intersect(t.qTrue).Union(allow.Complement().Intersect(t.qFalse))
@@ -637,9 +635,21 @@ func (s *Server) updateACL(in *instance, deltas []Delta) (*UpdateResponse, error
 
 	in.aclRule = newRules
 	in.model = newModel
+	in.allow = &allow
 	in.gen = newGen
 	s.primeCache(in, newModel, newGen, res.Queries)
 	return res, nil
+}
+
+// permits returns the permit set of the current rules: evaluated from
+// the model on the first update, carried forward by every later one.
+// Caller holds in.mu.
+func (in *instance) permits() zen.StateSet[pkt.Header] {
+	if in.allow == nil {
+		allow := zen.SolutionSet(in.w, in.model.(*zen.Fn[pkt.Header, bool]))
+		in.allow = &allow
+	}
+	return *in.allow
 }
 
 // updateRM is the generic delta path for list-typed models: reuse a
@@ -806,12 +816,6 @@ func (s *Server) primeCache(in *instance, m zen.Queryable, gen uint64, results [
 			model: in.name, kind: t.kind, backend: t.backend,
 			cond: cond, max: 1, bound: t.bound, gen: gen,
 		}
-		// The hit path stamps a response with the query's own
-		// fingerprint, so the entry needs none; but prepare fingerprints
-		// every query before the cache lookup, and the new generation's
-		// DAG is not memoized yet. Hashing it here, during the update,
-		// keeps that walk over the whole model off the follow-up query.
-		fingerprint(cond)
 		s.cache.put(k, results[i])
 	}
 }

@@ -86,7 +86,7 @@ func TestInlineTrace(t *testing.T) {
 	}
 	for k, want := range map[string]any{
 		"model": "demo/add8", "kind": "find", "backend": "bdd",
-		"status": "sat", "request_id": "trace-test", "dag": res.fingerprint,
+		"status": "sat", "request_id": "trace-test", "dag": fingerprint(res.cond),
 	} {
 		if tr.Attrs[k] != want {
 			t.Fatalf("root attr %q = %v, want %v", k, tr.Attrs[k], want)

@@ -208,18 +208,29 @@ func TestSingleflightCoalesces(t *testing.T) {
 func TestSheddingUnderSaturation(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, Queue: 1, CacheSize: -1})
 	release := make(chan struct{})
-	s.onExec = func(queryKey) { <-release }
+	running := make(chan struct{}, 2)
+	s.onExec = func(queryKey) {
+		running <- struct{}{}
+		<-release
+	}
 	defer close(release)
 
 	done := make(chan *Response, 2)
-	// Occupy the single worker, then the single queue slot, with
-	// distinct queries (identical ones would coalesce, not queue).
-	for i := 0; i < 2; i++ {
-		go func(i int) {
-			done <- s.Do(context.Background(), findEq("demo/add8", uint64(100+i)))
-		}(i)
+	ask := func(v uint64) {
+		go func() { done <- s.Do(context.Background(), findEq("demo/add8", v)) }()
 	}
-	// Wait until both are admitted (one running, one queued).
+	// Occupy the single worker, then the single queue slot, with
+	// distinct queries (identical ones would coalesce, not queue). The
+	// second is issued only once the first runs: issued while the first
+	// still sits in the queue, it would be shed itself.
+	ask(100)
+	select {
+	case <-running:
+	case <-time.After(5 * time.Second):
+		t.Fatal("first query never started")
+	}
+	ask(101)
+	// Wait until the second is admitted to the queue.
 	for deadline := time.Now().Add(5 * time.Second); s.pool.queued() < 1; {
 		if time.Now().After(deadline) {
 			t.Fatalf("queue never filled: depth %d", s.pool.queued())

@@ -285,8 +285,8 @@ func (s *Server) Do(ctx context.Context, req *Request) *Response {
 		if res.Provenance != "" {
 			root.SetAttr("provenance", res.Provenance)
 		}
-		if res.fingerprint != "" {
-			root.SetAttr("dag", res.fingerprint)
+		if res.cond != nil {
+			root.SetAttr("dag", fingerprint(res.cond))
 		}
 		root.End()
 		res.Trace = root.Snapshot()
@@ -367,23 +367,23 @@ func (s *Server) do(ctx context.Context, req *Request, span *obs.TreeSpan) (*Res
 			// them, not that they sat in the LRU.
 			hit.Provenance = ProvCached
 		}
-		hit.fingerprint = q.fp
+		hit.cond = q.cond
 		return &hit, lookupHit
 	}
 	s.cacheMiss.Add(1)
 	// The LRU missed; before paying for a solve, try the two cheaper
 	// tiers — the persisted snapshot (exact fingerprint match from a
 	// previous process) and the subsumption index (an implied answer).
-	if hit := s.snapshots.hit(q.key.model, q.fp, q.key); hit != nil {
+	if hit := s.snapshots.hit(q.key); hit != nil {
 		s.snapHits.Add(1)
-		hit.fingerprint = q.fp
+		hit.cond = q.cond
 		s.cache.put(q.key, hit)
 		return hit, lookupSnapshot
 	}
 	if s.cfg.CacheSize > 0 {
 		if hit, ok := s.subsume.lookup(q.subKey(), q.args, q.cond, q.key.kind); ok {
 			s.subsumed.Add(1)
-			hit.fingerprint = q.fp
+			hit.cond = q.cond
 			s.cache.put(q.key, hit)
 			return hit, lookupSubsumed
 		}
@@ -415,7 +415,7 @@ func (s *Server) do(ctx context.Context, req *Request, span *obs.TreeSpan) (*Res
 	if coalesced {
 		out.Provenance = ProvCoalesced
 	}
-	out.fingerprint = q.fp
+	out.cond = q.cond
 	return &out, lookupMiss
 }
 
@@ -429,7 +429,6 @@ type query struct {
 	cond    *core.Node    // find/findall/verify condition (pre-negated for verify)
 	env     zen.RawModel
 	timeout time.Duration
-	fp      string        // predicate-DAG fingerprint ("" for evaluate)
 	span    *obs.TreeSpan // request root span, nil when untraced
 }
 
@@ -525,12 +524,12 @@ func (s *Server) prepare(req *Request) (*query, *Response) {
 			// A verify searches for a counterexample; valid means none exists.
 			cond = zen.Builder().Not(cond)
 		}
+		// Hash-consing makes structurally identical predicates pointer-equal,
+		// so the result cache keys on the node address. The structural
+		// fingerprint, which also survives restarts, is computed only
+		// where it is read: traces, the slow log and snapshots.
 		q.cond = cond
 		q.key.cond = cond
-		// Hash-consing makes structurally identical predicates pointer-equal,
-		// so the result cache keys on the node address; the fingerprint is
-		// the structural hash that also survives process restarts.
-		q.fp = fingerprint(cond)
 	case "evaluate":
 		q.key.kind = kindEvaluate
 		env, err := decodeArgs(q.args, req.Args)
@@ -638,7 +637,6 @@ func (s *Server) execute(ctx context.Context, q *query) *Response {
 		BDDNodes:     snap.BDD.Nodes,
 	}
 	res.stats = &snap
-	res.fingerprint = q.fp
 	return res
 }
 

@@ -73,17 +73,19 @@ func (l *slowLogger) maybeLog(id string, req *Request, res *Response, elapsed ti
 		return
 	}
 	rec := SlowQueryRecord{
-		TimeUnixMS:  time.Now().UnixMilli(),
-		RequestID:   id,
-		Model:       req.Model,
-		Kind:        req.Kind,
-		Backend:     normBackend(req.Backend),
-		Status:      res.Status,
-		ElapsedMS:   res.ElapsedMS,
-		Fingerprint: res.fingerprint,
-		Provenance:  res.Provenance,
-		Sampled:     !slow,
-		Solves:      res.SolveCount(),
+		TimeUnixMS: time.Now().UnixMilli(),
+		RequestID:  id,
+		Model:      req.Model,
+		Kind:       req.Kind,
+		Backend:    normBackend(req.Backend),
+		Status:     res.Status,
+		ElapsedMS:  res.ElapsedMS,
+		Provenance: res.Provenance,
+		Sampled:    !slow,
+		Solves:     res.SolveCount(),
+	}
+	if res.cond != nil {
+		rec.Fingerprint = fingerprint(res.cond)
 	}
 	if s := res.stats; s != nil {
 		if len(s.Phases) > 0 {

@@ -84,13 +84,15 @@ func newSnapshotStore(dir string) *snapshotStore {
 
 func (st *snapshotStore) enabled() bool { return st != nil && st.dir != "" }
 
-// hit answers a query from the exact map, nil on miss.
-func (st *snapshotStore) hit(model, fp string, k queryKey) *Response {
+// hit answers a query from the exact map, nil on miss. The predicate is
+// fingerprinted only when snapshots are enabled.
+func (st *snapshotStore) hit(k queryKey) *Response {
 	if !st.enabled() {
 		return nil
 	}
+	sk := snapKey{model: k.model, fp: fingerprint(k.cond), kind: k.kind, max: k.max, bound: k.bound}
 	st.mu.Lock()
-	e, ok := st.exact[snapKey{model: model, fp: fp, kind: k.kind, max: k.max, bound: k.bound}]
+	e, ok := st.exact[sk]
 	st.mu.Unlock()
 	if !ok {
 		return nil

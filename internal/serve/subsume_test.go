@@ -106,6 +106,55 @@ func TestSubsumptionUnsatBeforeSat(t *testing.T) {
 	}
 }
 
+// TestSubsumptionLookupBuildsNoNodes: deciding implications against the
+// index adds nothing to the world's BDD, whether the lookup misses or
+// hits after failed checks. Worlds of registry models are never
+// invalidated, so nodes a check built would stay for the process.
+func TestSubsumptionLookupBuildsNoNodes(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ctx := context.Background()
+	in := func(v int) string { return fmt.Sprintf(`{"cmp":{"lhs":{"ref":"in"},"op":"eq","rhs":{"lit":%d}}}`, v) }
+	// Sat entries in == 1..4 and one unsat entry.
+	for v := 1; v <= 4; v++ {
+		if res := s.Do(ctx, reqOf("find", in(v))); res.Status != "sat" || res.Provenance != ProvCold {
+			t.Fatalf("seed in == %d: %q/%q", v, res.Status, res.Provenance)
+		}
+	}
+	unsat := `{"all":[{"cmp":{"lhs":{"ref":"out"},"op":"eq","rhs":{"lit":5}}},{"cmp":{"lhs":{"ref":"out"},"op":"eq","rhs":{"lit":9}}}]}`
+	if res := s.Do(ctx, reqOf("find", unsat)); res.Status != "unsat" {
+		t.Fatalf("unsat seed: %q", res.Status)
+	}
+	for _, tc := range []struct {
+		pred string
+		hit  bool
+	}{
+		{in(200), false}, // implied by no entry: every check fails
+		{`{"any":[` + in(3) + `,` + in(200) + `]}`, true}, // in == 3 implies it, after two failed checks
+	} {
+		q, bad := s.prepare(reqOf("find", tc.pred))
+		if bad != nil {
+			t.Fatalf("prepare %s: %s", tc.pred, bad.ErrText())
+		}
+		s.subsume.mu.Lock()
+		w := s.subsume.worlds[q.subKey()]
+		if _, err := w.compile(q.cond); err != nil {
+			t.Fatal(err)
+		}
+		before := w.alg.Man.Stats().Nodes
+		s.subsume.mu.Unlock()
+		_, hit := s.subsume.lookup(q.subKey(), q.args, q.cond, q.key.kind)
+		s.subsume.mu.Lock()
+		after := w.alg.Man.Stats().Nodes
+		s.subsume.mu.Unlock()
+		if hit != tc.hit {
+			t.Fatalf("%s: hit = %v, want %v", tc.pred, hit, tc.hit)
+		}
+		if after != before {
+			t.Fatalf("%s: lookup grew the world from %d to %d nodes", tc.pred, before, after)
+		}
+	}
+}
+
 // TestSubsumptionDisabledWithCache: CacheSize <= 0 turns the whole cache
 // stack off, including the subsumption index — the cold benchmark
 // sentinel depends on this.

@@ -299,10 +299,16 @@ func (s Set) Equal(o Set) bool {
 	return s.ref == o.ref
 }
 
-// Subset reports whether s ⊆ o.
+// Subset reports whether s ⊆ o. Like Disjoint, it builds no BDD nodes.
 func (s Set) Subset(o Set) bool {
 	s.check(o)
-	return s.w.man.And(s.ref, s.w.man.Not(o.ref)) == bdd.False
+	return s.w.man.Leq(s.ref, o.ref)
+}
+
+// Disjoint reports whether s ∩ o is empty.
+func (s Set) Disjoint(o Set) bool {
+	s.check(o)
+	return s.w.man.Disjoint(s.ref, o.ref)
 }
 
 // Ref exposes the raw BDD (for analyses like atomic predicates).

@@ -106,6 +106,9 @@ func (s StateSet[T]) Equal(o StateSet[T]) bool { return s.s.Equal(o.s) }
 // Subset reports s ⊆ o.
 func (s StateSet[T]) Subset(o StateSet[T]) bool { return s.s.Subset(o.s) }
 
+// Disjoint reports whether s ∩ o = ∅, without building the intersection.
+func (s StateSet[T]) Disjoint(o StateSet[T]) bool { return s.s.Disjoint(o.s) }
+
 // Count returns |s|.
 func (s StateSet[T]) Count() *big.Int { return s.s.Count() }
 
@@ -188,10 +191,10 @@ func (t Transformer[I, O]) ReverseCtx(ctx context.Context, s StateSet[O]) (out S
 func (t Transformer[I, O]) UsesFreshSpace() bool { return t.t.UsesFreshSpace() }
 
 // SolutionSet returns {x | fn(x) = true} for a boolean-valued function: the
-// reverse image of {true}.
+// reverse image of {true}. It evaluates the DAG fn already built, so the
+// model is not run again.
 func SolutionSet[I any](w *World, fn *Fn[I, bool]) StateSet[I] {
-	x := Symbolic[I]("sol")
-	return StateSet[I]{s: w.w.FromPredicate(TypeOf[I](), fn.Apply(x).n, x.n.VarID)}
+	return StateSet[I]{s: w.w.FromPredicate(TypeOf[I](), fn.out.n, fn.arg.n.VarID)}
 }
 
 // OrderHint carries a model's expression for variable-ordering analysis.
