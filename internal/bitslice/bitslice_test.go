@@ -353,3 +353,20 @@ func TestStructuralOpsAreFree(t *testing.T) {
 		t.Errorf("shift+projection plan has %d instructions, want 0", plan.NumOps())
 	}
 }
+
+// TestAndOfNotIsOneAndNot: a conjunction with a complemented operand
+// compiles to one andnot, and the complement it replaced is dropped.
+func TestAndOfNotIsOneAndNot(t *testing.T) {
+	b := core.NewBuilder()
+	x, y := b.Var(core.Bool(), "x"), b.Var(core.Bool(), "y")
+	for _, root := range []*core.Node{b.And(x, b.Not(y)), b.And(b.Not(x), y)} {
+		checkAgainstInterp(t, root, []*core.Node{x, y}, 1)
+		plan, err := Compile(root, x, y)
+		if err != nil {
+			t.Fatalf("Compile: %v", err)
+		}
+		if plan.NumOps() != 1 {
+			t.Errorf("x & !y plan has %d instructions, want 1", plan.NumOps())
+		}
+	}
+}

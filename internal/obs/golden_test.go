@@ -30,7 +30,8 @@ func fullSnapshot() Snapshot {
 	s.Lint = LintStats{Models: 136, Findings: 137, Suppressed: 138}
 	s.Serve = ServeStats{Queries: 139, CacheHits: 140, CacheMisses: 141, Subsumed: 142,
 		SnapshotHits: 143, Coalesced: 144, Shed: 145, Cancelled: 146, Errors: 147,
-		Updates: 148, DeltaReused: 149, DeltaReverified: 150}
+		Updates: 148, DeltaReused: 149, DeltaReverified: 150,
+		Streams: 118, StreamItems: 119, StreamErrors: 120}
 	s.Portfolio = PortfolioStats{Races: 151, WinsBy: map[string]int64{"bdd": 152, "sat": 153},
 		ClausesImported: 155, LoserAborts: 156, LoserAbortNs: 157_000_000}
 	s.Absint = AbsintStats{Presolves: 158, NodesBefore: 159, NodesAfter: 160, Folds: 161,

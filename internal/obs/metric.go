@@ -22,8 +22,8 @@ func (k Kind) String() string {
 // Metric is one row of a counter table: a telemetry value declared once,
 // with everything the merge, the /metrics exposition and the
 // `zend -check-metrics` gate need to know about it. T is the record the
-// row reads: Snapshot for the solver aggregate (SnapshotMetrics), the
-// live server for zend's own families (internal/serve).
+// row reads: Snapshot for every counter (SnapshotMetrics), the live
+// server for zend's gauges and histograms (internal/serve).
 type Metric[T any] struct {
 	// Name is the Prometheus family name; empty for a value that is
 	// merged but not exported.
@@ -89,11 +89,11 @@ func StableNames[T any](table []Metric[T]) []string {
 	return names
 }
 
-// SnapshotMetrics is the solver telemetry table: one row per Snapshot
-// counter, in /metrics exposition order. The Serve section is merged but
-// not exported: the live server exposes its own zen_serve_* families, and
-// reporting the same totals under two names would make every dashboard
-// ambiguous. DAG (a max, not a sum) and Phases merge by their own rules.
+// SnapshotMetrics is the telemetry table: one row per Snapshot counter,
+// in /metrics exposition order. DAG (a max, not a sum) and Phases merge
+// by their own rules. The zen_serve_* rows come last, so zend's scrape
+// renders the aggregate with its Serve section replaced by the server's
+// own counts and then appends the server's gauges and histograms.
 var SnapshotMetrics = []Metric[Snapshot]{
 	{Name: "zen_analyses_total", Help: "Completed analyses (Find, Verify, FindAll, Evaluate, ...).", Stable: true, Field: func(s *Snapshot) *int64 { return &s.Analyses }},
 	{Name: "zen_analyses_by_backend_total", Help: "Completed analyses by solver backend.", Label: "backend", Map: func(s *Snapshot) *map[string]int64 { return &s.AnalysesBy }},
@@ -161,18 +161,21 @@ var SnapshotMetrics = []Metric[Snapshot]{
 	{Name: "zen_lint_findings_total", Help: "zenlint findings after suppression.", Field: func(s *Snapshot) *int64 { return &s.Lint.Findings }},
 	{Field: func(s *Snapshot) *int64 { return &s.Lint.Suppressed }},
 
-	{Field: func(s *Snapshot) *int64 { return &s.Serve.Queries }},
-	{Field: func(s *Snapshot) *int64 { return &s.Serve.CacheHits }},
-	{Field: func(s *Snapshot) *int64 { return &s.Serve.CacheMisses }},
-	{Field: func(s *Snapshot) *int64 { return &s.Serve.Subsumed }},
-	{Field: func(s *Snapshot) *int64 { return &s.Serve.SnapshotHits }},
-	{Field: func(s *Snapshot) *int64 { return &s.Serve.Coalesced }},
-	{Field: func(s *Snapshot) *int64 { return &s.Serve.Shed }},
-	{Field: func(s *Snapshot) *int64 { return &s.Serve.Cancelled }},
-	{Field: func(s *Snapshot) *int64 { return &s.Serve.Errors }},
-	{Field: func(s *Snapshot) *int64 { return &s.Serve.Updates }},
-	{Field: func(s *Snapshot) *int64 { return &s.Serve.DeltaReused }},
-	{Field: func(s *Snapshot) *int64 { return &s.Serve.DeltaReverified }},
+	{Name: "zen_serve_queries_total", Help: "Queries accepted (including cancelled and failed).", Stable: true, Field: func(s *Snapshot) *int64 { return &s.Serve.Queries }},
+	{Name: "zen_serve_cache_hits_total", Help: "Result-cache hits.", Stable: true, Field: func(s *Snapshot) *int64 { return &s.Serve.CacheHits }},
+	{Name: "zen_serve_cache_misses_total", Help: "Result-cache misses.", Field: func(s *Snapshot) *int64 { return &s.Serve.CacheMisses }},
+	{Name: "zen_serve_cache_subsumed_total", Help: "Queries answered by implication from a cached result.", Stable: true, Field: func(s *Snapshot) *int64 { return &s.Serve.Subsumed }},
+	{Name: "zen_serve_cache_snapshot_hits_total", Help: "Cache hits served from a persisted snapshot.", Stable: true, Field: func(s *Snapshot) *int64 { return &s.Serve.SnapshotHits }},
+	{Name: "zen_serve_coalesced_total", Help: "Queries answered by another request's in-flight execution.", Field: func(s *Snapshot) *int64 { return &s.Serve.Coalesced }},
+	{Name: "zen_serve_shed_total", Help: "Queries shed by queue overflow or drain.", Field: func(s *Snapshot) *int64 { return &s.Serve.Shed }},
+	{Name: "zen_serve_cancelled_total", Help: "Queries cancelled by deadline or disconnect.", Field: func(s *Snapshot) *int64 { return &s.Serve.Cancelled }},
+	{Name: "zen_serve_errors_total", Help: "Queries that failed.", Field: func(s *Snapshot) *int64 { return &s.Serve.Errors }},
+	{Name: "zen_serve_updates_total", Help: "Delta updates applied to model instances.", Stable: true, Field: func(s *Snapshot) *int64 { return &s.Serve.Updates }},
+	{Name: "zen_serve_streams_total", Help: "Streaming /v1/evaluate requests accepted.", Field: func(s *Snapshot) *int64 { return &s.Serve.Streams }},
+	{Name: "zen_serve_stream_items_total", Help: "Inputs consumed by streaming /v1/evaluate.", Stable: true, Field: func(s *Snapshot) *int64 { return &s.Serve.StreamItems }},
+	{Name: "zen_serve_stream_errors_total", Help: "Streaming inputs answered with an in-slot error.", Field: func(s *Snapshot) *int64 { return &s.Serve.StreamErrors }},
+	{Name: "zen_serve_delta_reused_total", Help: "Tracked queries answered from cache across an update.", Stable: true, Field: func(s *Snapshot) *int64 { return &s.Serve.DeltaReused }},
+	{Name: "zen_serve_delta_reverified_total", Help: "Tracked queries re-verified after an update.", Stable: true, Field: func(s *Snapshot) *int64 { return &s.Serve.DeltaReverified }},
 }
 
 // counterOffs and mapOffs are the byte offsets within a Snapshot of the

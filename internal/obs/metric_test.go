@@ -2,6 +2,7 @@ package obs
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -9,14 +10,18 @@ import (
 // TestSnapshotMetricsCoverEveryField walks Snapshot by reflection and
 // checks that each additive field (every int64 and map outside DAG) is
 // declared by exactly one SnapshotMetrics row, so a new counter cannot
-// be added to the struct without also being merged.
+// be added to the struct without also being merged. zend exports every
+// ServeStats field, so each of those rows must also be named.
 func TestSnapshotMetricsCoverEveryField(t *testing.T) {
 	probe := new(Snapshot)
 	base := uintptr(unsafe.Pointer(probe))
 	declared := make(map[uintptr]int)
+	named := make(map[uintptr]bool)
 	for _, c := range SnapshotMetrics {
 		if c.Field != nil {
-			declared[uintptr(unsafe.Pointer(c.Field(probe)))-base]++
+			off := uintptr(unsafe.Pointer(c.Field(probe))) - base
+			declared[off]++
+			named[off] = c.Name != ""
 		}
 		if c.Map != nil {
 			declared[uintptr(unsafe.Pointer(c.Map(probe)))-base]++
@@ -35,6 +40,9 @@ func TestSnapshotMetricsCoverEveryField(t *testing.T) {
 			case f.Type.Kind() == reflect.Int64 || f.Type.Kind() == reflect.Map:
 				if n := declared[at]; n != 1 {
 					t.Errorf("Snapshot.%s is declared by %d SnapshotMetrics rows, want 1", name, n)
+				}
+				if strings.HasPrefix(name, "Serve.") && !named[at] {
+					t.Errorf("Snapshot.%s has no named row: zend would not export it", name)
 				}
 				delete(declared, at)
 			default:

@@ -104,7 +104,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		res := failResponse(http.StatusBadRequest, ErrBadRequest, "bad request: %v", err)
 		res.RequestID = id
-		s.publish(res, lookupNone)
+		s.publish(res, obs.ServeStats{})
 		writeJSON(w, res.HTTPStatus(), res)
 		return
 	}
@@ -167,7 +167,7 @@ func (s *Server) DoBatchRaw(ctx context.Context, raws []json.RawMessage) []*Resp
 		if err := json.Unmarshal(raw, &req); err != nil {
 			res := failResponse(http.StatusBadRequest, ErrBadRequest, "query %d: %v", i, err)
 			res.RequestID = subID(i)
-			s.publish(res, lookupNone)
+			s.publish(res, obs.ServeStats{})
 			out[i] = res
 			continue
 		}

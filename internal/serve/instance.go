@@ -500,14 +500,7 @@ func (s *Server) doUpdate(ctx context.Context, req *UpdateRequest) *UpdateRespon
 		}
 		return failUpdate(http.StatusBadRequest, code, "%v", err)
 	}
-	s.updates.Add(1)
-	s.deltaReuse.Add(int64(res.Reused))
-	s.deltaRerun.Add(int64(res.Reverified))
-	obs.Global().Merge(&obs.Snapshot{Serve: obs.ServeStats{
-		Updates:         1,
-		DeltaReused:     int64(res.Reused),
-		DeltaReverified: int64(res.Reverified),
-	}})
+	s.count(obs.ServeStats{Updates: 1, DeltaReused: int64(res.Reused), DeltaReverified: int64(res.Reverified)})
 	// Old-generation subsumption worlds are now garbage; drop them all
 	// (the new generation's world rebuilds on demand).
 	s.subsume.invalidate(in.name)

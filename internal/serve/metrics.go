@@ -8,8 +8,9 @@ import (
 )
 
 // handleMetrics serves GET /metrics in Prometheus text exposition
-// format: the process-wide solver aggregate plus the service's own
-// counters, gauges, and latency histograms.
+// format: the process-wide aggregate, with this server's own counters in
+// place of its serve section, then the server's gauges and latency
+// histograms.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
@@ -24,7 +25,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // a listener.
 func (s *Server) WriteMetrics(w io.Writer) error {
 	m := obs.NewMetricsWriter(w)
-	obs.WriteSnapshotMetrics(m, obs.Global().Snapshot())
+	snap := obs.Global().Snapshot()
+	snap.Serve = s.counts.Snapshot().Serve
+	obs.WriteSnapshotMetrics(m, snap)
 	obs.WriteMetricTable(m, serverMetrics, s)
 	return m.Err()
 }

@@ -145,48 +145,19 @@ type Server struct {
 
 	draining atomic.Bool
 
-	queries    atomic.Int64
-	cacheHits  atomic.Int64
-	cacheMiss  atomic.Int64
-	subsumed   atomic.Int64
-	snapHits   atomic.Int64
-	coalesced  atomic.Int64
-	shed       atomic.Int64
-	cancelled  atomic.Int64
-	errors     atomic.Int64
-	updates    atomic.Int64
-	deltaReuse atomic.Int64
-	deltaRerun atomic.Int64
-
-	// Streaming-evaluate traffic (see stream.go).
-	streams      atomic.Int64
-	streamItems  atomic.Int64
-	streamErrors atomic.Int64
+	// counts is this server's tally of zend's counters; count merges
+	// each delta into it and into the process-wide aggregate.
+	counts obs.Stats
 
 	// onExec, when non-nil, observes every solver execution actually
 	// started (cache hits and coalesced waits bypass it). Test hook.
 	onExec func(queryKey)
 }
 
-// serverMetrics declares the zen_serve_* families, in /metrics exposition
-// order, over the atomics and histograms above. serve.Stats reads the
-// same atomics for /v1/stats.
+// serverMetrics declares the zen_serve_* gauges and histograms, in
+// /metrics exposition order. The counters are obs.ServeStats rows of
+// obs.SnapshotMetrics; WriteMetrics renders those first.
 var serverMetrics = []obs.Metric[Server]{
-	{Name: "zen_serve_queries_total", Help: "Queries accepted (including cancelled and failed).", Stable: true, Value: func(s *Server) float64 { return float64(s.queries.Load()) }},
-	{Name: "zen_serve_cache_hits_total", Help: "Result-cache hits.", Stable: true, Value: func(s *Server) float64 { return float64(s.cacheHits.Load()) }},
-	{Name: "zen_serve_cache_misses_total", Help: "Result-cache misses.", Value: func(s *Server) float64 { return float64(s.cacheMiss.Load()) }},
-	{Name: "zen_serve_cache_subsumed_total", Help: "Queries answered by implication from a cached result.", Stable: true, Value: func(s *Server) float64 { return float64(s.subsumed.Load()) }},
-	{Name: "zen_serve_cache_snapshot_hits_total", Help: "Cache hits served from a persisted snapshot.", Stable: true, Value: func(s *Server) float64 { return float64(s.snapHits.Load()) }},
-	{Name: "zen_serve_coalesced_total", Help: "Queries answered by another request's in-flight execution.", Value: func(s *Server) float64 { return float64(s.coalesced.Load()) }},
-	{Name: "zen_serve_shed_total", Help: "Queries shed by queue overflow or drain.", Value: func(s *Server) float64 { return float64(s.shed.Load()) }},
-	{Name: "zen_serve_cancelled_total", Help: "Queries cancelled by deadline or disconnect.", Value: func(s *Server) float64 { return float64(s.cancelled.Load()) }},
-	{Name: "zen_serve_errors_total", Help: "Queries that failed.", Value: func(s *Server) float64 { return float64(s.errors.Load()) }},
-	{Name: "zen_serve_updates_total", Help: "Delta updates applied to model instances.", Stable: true, Value: func(s *Server) float64 { return float64(s.updates.Load()) }},
-	{Name: "zen_serve_streams_total", Help: "Streaming /v1/evaluate requests accepted.", Value: func(s *Server) float64 { return float64(s.streams.Load()) }},
-	{Name: "zen_serve_stream_items_total", Help: "Inputs consumed by streaming /v1/evaluate.", Stable: true, Value: func(s *Server) float64 { return float64(s.streamItems.Load()) }},
-	{Name: "zen_serve_stream_errors_total", Help: "Streaming inputs answered with an in-slot error.", Value: func(s *Server) float64 { return float64(s.streamErrors.Load()) }},
-	{Name: "zen_serve_delta_reused_total", Help: "Tracked queries answered from cache across an update.", Stable: true, Value: func(s *Server) float64 { return float64(s.deltaReuse.Load()) }},
-	{Name: "zen_serve_delta_reverified_total", Help: "Tracked queries re-verified after an update.", Stable: true, Value: func(s *Server) float64 { return float64(s.deltaRerun.Load()) }},
 	{Name: "zen_serve_cache_entries", Help: "Result-cache occupancy.", Kind: obs.KindGauge, Value: func(s *Server) float64 { return float64(s.cache.len()) }},
 	{Name: "zen_serve_queue_depth", Help: "Executions waiting for a worker.", Kind: obs.KindGauge, Value: func(s *Server) float64 { return float64(s.pool.queued()) }},
 	{Name: "zen_serve_workers", Help: "Configured worker count.", Kind: obs.KindGauge, Value: func(s *Server) float64 { return float64(s.cfg.Workers) }},
@@ -275,7 +246,8 @@ func (s *Server) Do(ctx context.Context, req *Request) *Response {
 			root.SetAttr("request_id", id)
 		}
 	}
-	res, lk := s.do(ctx, req, root)
+	var d obs.ServeStats
+	res := s.do(ctx, req, root, &d)
 	elapsed := time.Since(start)
 	res.APIVersion = APIVersion
 	res.ElapsedMS = float64(elapsed.Microseconds()) / 1000
@@ -293,7 +265,7 @@ func (s *Server) Do(ctx context.Context, req *Request) *Response {
 	}
 	s.observeLatency(req, res, elapsed)
 	s.slow.maybeLog(id, req, res, elapsed)
-	s.publish(res, lk)
+	s.publish(res, d)
 	return res
 }
 
@@ -326,27 +298,15 @@ func (s *Server) observeLatency(req *Request, res *Response, d time.Duration) {
 	s.latVec.With(model, normBackend(req.Backend), res.Status).Observe(d)
 }
 
-// lookup is how far a query got through the answer cache tiers. do
-// counts each tier into the server's counters and returns the lookup,
-// and publish mirrors it into the global aggregate, so both keep the
-// same tally.
-type lookup uint8
-
-const (
-	lookupNone     lookup = iota // never reached the cache (invalid, draining, evaluate)
-	lookupHit                    // LRU hit
-	lookupSnapshot               // LRU miss answered by the persisted snapshot
-	lookupSubsumed               // LRU miss answered by the subsumption index
-	lookupMiss                   // LRU miss sent to the solver (or shed/cancelled on the way)
-)
-
-func (s *Server) do(ctx context.Context, req *Request, span *obs.TreeSpan) (*Response, lookup) {
+// do runs one query and records in d how far it got through the answer
+// cache tiers; publish adds the outcome and counts d.
+func (s *Server) do(ctx context.Context, req *Request, span *obs.TreeSpan, d *obs.ServeStats) *Response {
 	if s.draining.Load() {
-		return failResponse(http.StatusServiceUnavailable, ErrDraining, "server is shutting down"), lookupNone
+		return failResponse(http.StatusServiceUnavailable, ErrDraining, "server is shutting down")
 	}
 	q, resErr := s.prepare(req)
 	if resErr != nil {
-		return resErr, lookupNone
+		return resErr
 	}
 	q.span = span
 	ctx, cancelFn := q.bound(ctx, s.cfg)
@@ -356,10 +316,10 @@ func (s *Server) do(ctx context.Context, req *Request, span *obs.TreeSpan) (*Res
 		// Interpreter-speed, concrete-input queries: pooled for fairness
 		// but neither cached nor coalesced (their identity lives in the
 		// argument values, not in a predicate DAG).
-		return s.runPooled(ctx, q), lookupNone
+		return s.runPooled(ctx, q)
 	}
 	if res, ok := s.cache.get(q.key); ok {
-		s.cacheHits.Add(1)
+		d.CacheHits = 1
 		hit := *res
 		if hit.Provenance != ProvDelta {
 			// Delta-stamped entries keep their provenance (and Reused
@@ -368,24 +328,24 @@ func (s *Server) do(ctx context.Context, req *Request, span *obs.TreeSpan) (*Res
 			hit.Provenance = ProvCached
 		}
 		hit.cond = q.cond
-		return &hit, lookupHit
+		return &hit
 	}
-	s.cacheMiss.Add(1)
+	d.CacheMisses = 1
 	// The LRU missed; before paying for a solve, try the two cheaper
 	// tiers — the persisted snapshot (exact fingerprint match from a
 	// previous process) and the subsumption index (an implied answer).
 	if hit := s.snapshots.hit(q.key); hit != nil {
-		s.snapHits.Add(1)
+		d.SnapshotHits = 1
 		hit.cond = q.cond
 		s.cache.put(q.key, hit)
-		return hit, lookupSnapshot
+		return hit
 	}
 	if s.cfg.CacheSize > 0 {
 		if hit, ok := s.subsume.lookup(q.subKey(), q.args, q.cond, q.key.kind); ok {
-			s.subsumed.Add(1)
+			d.Subsumed = 1
 			hit.cond = q.cond
 			s.cache.put(q.key, hit)
-			return hit, lookupSubsumed
+			return hit
 		}
 	}
 	res, coalesced, shedded, err := s.flight.do(ctx, q.key, func(execCtx context.Context, deliver func(*Response)) bool {
@@ -404,19 +364,19 @@ func (s *Server) do(ctx context.Context, req *Request, span *obs.TreeSpan) (*Res
 		})
 	})
 	if shedded {
-		return failResponse(http.StatusTooManyRequests, ErrQueueFull, "queue full"), lookupMiss
+		return failResponse(http.StatusTooManyRequests, ErrQueueFull, "queue full")
 	}
 	if err != nil {
 		// This request stopped waiting; the execution may still finish for
 		// other waiters (or was cancelled if this was the last one).
-		return failResponse(0, ErrCancelled, "%v", err), lookupMiss
+		return failResponse(0, ErrCancelled, "%v", err)
 	}
 	out := *res
 	if coalesced {
 		out.Provenance = ProvCoalesced
 	}
 	out.cond = q.cond
-	return &out, lookupMiss
+	return &out
 }
 
 // query is a parsed, compiled request.
@@ -656,114 +616,67 @@ func argName(i, n int) string {
 	return fmt.Sprintf("in%d", i)
 }
 
-// publish folds one finished request into the server counters and the
-// process-wide telemetry aggregate, so /debug/zenstats and expvar show
-// service activity next to solver activity. The cache tiers are counted
-// in do; lk mirrors that tally into the aggregate.
-func (s *Server) publish(res *Response, lk lookup) {
-	var d obs.ServeStats
+// publish adds one finished request's outcome to d, the cache tiers do
+// recorded for it, and counts it.
+func (s *Server) publish(res *Response, d obs.ServeStats) {
 	switch res.Status {
 	case "shed", "draining":
-		s.shed.Add(1)
 		d.Shed = 1
 	case "cancelled":
-		s.queries.Add(1)
-		s.cancelled.Add(1)
 		d.Queries, d.Cancelled = 1, 1
 	case "error":
-		s.queries.Add(1)
-		s.errors.Add(1)
 		d.Queries, d.Errors = 1, 1
 	default:
-		s.queries.Add(1)
 		d.Queries = 1
 	}
-	switch lk {
-	case lookupHit:
-		d.CacheHits = 1
-	case lookupSnapshot:
-		d.CacheMisses, d.SnapshotHits = 1, 1
-	case lookupSubsumed:
-		d.CacheMisses, d.Subsumed = 1, 1
-	case lookupMiss:
-		d.CacheMisses = 1
-	}
 	if res.Coalesced() {
-		s.coalesced.Add(1)
 		d.Coalesced = 1
 	}
-	obs.Global().Merge(&obs.Snapshot{Serve: d})
+	s.count(d)
 }
 
 // reject counts a request refused before any query was read from it (a
-// malformed batch envelope or stream header) as one error, in the server
-// counters and the aggregate alike. It is not a query.
-func (s *Server) reject() {
-	s.errors.Add(1)
-	obs.Global().Merge(&obs.Snapshot{Serve: obs.ServeStats{Errors: 1}})
+// malformed batch envelope or stream header) as one error. It is not a
+// query.
+func (s *Server) reject() { s.count(obs.ServeStats{Errors: 1}) }
+
+// count merges one delta of zend's counters into this server's tally and
+// the process-wide aggregate, so /v1/stats, /metrics and /debug/zenstats
+// read the same counts.
+func (s *Server) count(d obs.ServeStats) {
+	snap := obs.Snapshot{Serve: d}
+	s.counts.Merge(&snap)
+	obs.Global().Merge(&snap)
 }
 
 // Stats is the service's self-reported state, served on /v1/stats and
-// published as the expvar "zenserve".
+// published as the expvar "zenserve": the server's counters, whose JSON
+// keys encoding/json inlines, and the values derived at read time.
 type Stats struct {
-	Queries         int64   `json:"queries"`
-	CacheHits       int64   `json:"cache_hits"`
-	CacheMisses     int64   `json:"cache_misses"`
-	CacheHitRate    float64 `json:"cache_hit_rate"`
-	CacheLen        int     `json:"cache_len"`
-	Subsumed        int64   `json:"subsumed"`
-	SnapshotHits    int64   `json:"snapshot_hits"`
-	Coalesced       int64   `json:"coalesced"`
-	Shed            int64   `json:"shed"`
-	Cancelled       int64   `json:"cancelled"`
-	Errors          int64   `json:"errors"`
-	Updates         int64   `json:"updates"`
-	DeltaReused     int64   `json:"delta_reused"`
-	DeltaReverified int64   `json:"delta_reverified"`
-	Streams         int64   `json:"streams"`
-	StreamItems     int64   `json:"stream_items"`
-	StreamErrors    int64   `json:"stream_errors"`
-	QueueDepth      int     `json:"queue_depth"`
-	Workers         int     `json:"workers"`
-	P50MS           float64 `json:"p50_ms"`
-	P99MS           float64 `json:"p99_ms"`
-	Draining        bool    `json:"draining"`
+	obs.ServeStats
+	CacheHitRate float64 `json:"cache_hit_rate"`
+	CacheLen     int     `json:"cache_len"`
+	QueueDepth   int     `json:"queue_depth"`
+	Workers      int     `json:"workers"`
+	P50MS        float64 `json:"p50_ms"`
+	P99MS        float64 `json:"p99_ms"`
+	Draining     bool    `json:"draining"`
 }
 
 // Stats snapshots the service counters. The latency quantiles are
 // estimated from the aggregate request histogram (the same one /metrics
 // exposes), interpolated within buckets.
 func (s *Server) Stats() Stats {
-	p50 := s.latAll.Quantile(0.50) * 1000
-	p99 := s.latAll.Quantile(0.99) * 1000
-	hits, misses := s.cacheHits.Load(), s.cacheMiss.Load()
-	rate := 0.0
-	if hits+misses > 0 {
-		rate = float64(hits) / float64(hits+misses)
-	}
+	c := s.counts.Snapshot().Serve
 	return Stats{
-		Queries:         s.queries.Load(),
-		CacheHits:       hits,
-		CacheMisses:     misses,
-		CacheHitRate:    rate,
-		CacheLen:        s.cache.len(),
-		Subsumed:        s.subsumed.Load(),
-		SnapshotHits:    s.snapHits.Load(),
-		Coalesced:       s.coalesced.Load(),
-		Shed:            s.shed.Load(),
-		Cancelled:       s.cancelled.Load(),
-		Errors:          s.errors.Load(),
-		Updates:         s.updates.Load(),
-		DeltaReused:     s.deltaReuse.Load(),
-		DeltaReverified: s.deltaRerun.Load(),
-		Streams:         s.streams.Load(),
-		StreamItems:     s.streamItems.Load(),
-		StreamErrors:    s.streamErrors.Load(),
-		QueueDepth:      s.pool.queued(),
-		Workers:         s.cfg.Workers,
-		P50MS:           p50,
-		P99MS:           p99,
-		Draining:        s.draining.Load(),
+		ServeStats:   c,
+		CacheHitRate: c.CacheHitRate(),
+		CacheLen:     s.cache.len(),
+		QueueDepth:   s.pool.queued(),
+		Workers:      s.cfg.Workers,
+		P50MS:        s.latAll.Quantile(0.50) * 1000,
+		P99MS:        s.latAll.Quantile(0.99) * 1000,
+		Draining:     s.draining.Load(),
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"zen-go/internal/core"
 	"zen-go/internal/interp"
+	"zen-go/internal/obs"
 	"zen-go/zen"
 )
 
@@ -142,7 +143,7 @@ func (s *Server) handleEvaluateStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancelFn()
 
-	s.streams.Add(1)
+	s.count(obs.ServeStats{Streams: 1})
 	start := time.Now()
 	prov := ProvInterp
 	if zen.BatchCompiles(q) {
@@ -185,14 +186,15 @@ func (s *Server) handleEvaluateStream(w http.ResponseWriter, r *http.Request) {
 		// in-slot errors and arms the trailer via abort.
 		s.evalChunk(ctx, q, chunk, abort)
 		trailer.Batches++
+		d := obs.ServeStats{StreamItems: int64(len(chunk))}
 		for _, it := range chunk {
 			if it.res.Err != nil {
-				trailer.Errors++
-				s.streamErrors.Add(1)
+				d.StreamErrors++
 			}
 			_ = enc.Encode(it.res)
 		}
-		s.streamItems.Add(int64(len(chunk)))
+		trailer.Errors += d.StreamErrors
+		s.count(d)
 		flush()
 	}
 	trailer.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000

@@ -18,10 +18,12 @@ package zenrepro
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
+	"zen-go/internal/bitslice"
 	"zen-go/internal/core"
 	"zen-go/internal/fuzz"
 	"zen-go/internal/interp"
@@ -234,5 +236,43 @@ func TestRegistryBatchParity(t *testing.T) {
 	}
 	if onPlan < 15 {
 		t.Fatalf("only %d registered models are list-free; registry imports out of sync?", onPlan)
+	}
+}
+
+// TestPlansHaveNoDeadInstructions: in the bitslice plan of every
+// list-free registered model and of 300 seeded fuzz DAGs, each
+// instruction's destination is an output register or is read by a later
+// instruction.
+func TestPlansHaveNoDeadInstructions(t *testing.T) {
+	check := func(name string, root *core.Node, args ...*core.Node) {
+		plan, err := bitslice.Compile(root, args...)
+		if bitslice.IsUnsupported(err) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		read := make(map[int32]bool)
+		for _, r := range plan.OutWords() {
+			read[r] = true
+		}
+		insts := plan.Insts()
+		for i := len(insts) - 1; i >= 0; i-- {
+			in := insts[i]
+			if !read[in.Dst] {
+				t.Errorf("%s: instruction %d of %d writes r%d, which nothing reads", name, i, len(insts), in.Dst)
+				return
+			}
+			read[in.A], read[in.B], read[in.C] = true, true, true
+		}
+	}
+	for _, m := range zen.RegisteredModels() {
+		if q, ok := m.Build().(zen.Queryable); ok {
+			check(m.Name, q.QueryOut(), q.QueryArgs()...)
+		}
+	}
+	for seed := int64(1); seed <= 300; seed++ {
+		expr, in := fuzz.NewGen(seed, fuzz.DefaultConfig()).Predicate()
+		check(fmt.Sprintf("fuzz seed %d", seed), expr, in)
 	}
 }

@@ -15,8 +15,10 @@ import (
 	"zen-go/zen"
 
 	_ "zen-go/nets/acl"
+	_ "zen-go/nets/device"
 	_ "zen-go/nets/ecmp"
 	_ "zen-go/nets/nat"
+	_ "zen-go/nets/pipeline"
 	_ "zen-go/nets/pkt"
 )
 
@@ -140,7 +142,10 @@ func TestCodegenZooModels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and runs generated modules")
 	}
-	names := []string{"nets/acl.allow", "nets/nat.apply", "nets/ecmp.hash", "nets/pkt.prefix-contains"}
+	// nets/device.forward-path compiles to a plan with no instructions:
+	// its batch loop only transposes.
+	names := []string{"nets/acl.allow", "nets/nat.apply", "nets/ecmp.hash", "nets/pkt.prefix-contains",
+		"nets/device.forward-path", "nets/pipeline.egress"}
 	registered := make(map[string]zen.RegisteredModel)
 	for _, m := range zen.RegisteredModels() {
 		registered[m.Name] = m
